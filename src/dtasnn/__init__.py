@@ -9,16 +9,14 @@ from .tensor import (
     backward,
     zero_grads,
 )
-from .neuron import LifParams, LifState, lif_step, lif_unroll, surrogate_grad
-from .attention import AttentionOutput, DtaParams, TnaParams, TxaParams, dta
+from .neuron import LifParams, lif_unroll, surrogate_values
+from .attention import DtaParams, TnaParams, TxaParams, dta
 
 __all__ = [
-    "AttentionOutput",
     "ComputationRecord",
     "DtaParams",
     "GeometryError",
     "LifParams",
-    "LifState",
     "RecordError",
     "ShapeError",
     "Tensor",
@@ -26,8 +24,7 @@ __all__ = [
     "TxaParams",
     "backward",
     "dta",
-    "lif_step",
     "lif_unroll",
-    "surrogate_grad",
+    "surrogate_values",
     "zero_grads",
 ]

@@ -18,13 +18,19 @@ Spike tensors are laid out (T, B, C, H, W).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as tz
 from .ops import conv1d, conv2d, linear
 from .tensor import ShapeError, Tensor
+
+
+def named_tensors(params) -> list[tuple[str, Tensor]]:
+    """The learnable tensors of a parameter dataclass, named by field, in field order."""
+    return [(f.name, getattr(params, f.name)) for f in fields(params)
+            if isinstance(getattr(params, f.name), Tensor)]
 
 
 def _uniform_fan_in(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> Tensor:
@@ -58,7 +64,7 @@ class TxaParams:
         )
 
     def parameters(self) -> list[Tensor]:
-        return [self.tla_kernel, self.cla_kernel, self.p_t, self.p_c]
+        return [t for _, t in named_tensors(self)]
 
 
 @dataclass
@@ -107,8 +113,7 @@ class TnaParams:
         )
 
     def parameters(self) -> list[Tensor]:
-        return [self.encode, self.dw, self.ddw, self.pw, self.mb_squeeze_w,
-                self.mb_squeeze_b, self.mb_expand_w, self.mb_expand_b, self.decode]
+        return [t for _, t in named_tensors(self)]
 
 
 @dataclass
@@ -128,15 +133,6 @@ class DtaParams:
 
     def parameters(self) -> list[Tensor]:
         return self.txa.parameters() + self.tna.parameters()
-
-
-@dataclass
-class AttentionOutput:
-    """Branch outputs plus the fused gate, all shaped like the input."""
-
-    o_txa: Tensor
-    o_tna: Tensor
-    o_dta: Tensor
 
 
 def _require_5d(x: Tensor, name: str) -> None:
@@ -249,10 +245,3 @@ def dta(spikes: Tensor, txa: TxaParams | None, tna: TnaParams | None,
         gate = t_na(spikes, tna)
     return tz.sigmoid(gate) * spikes
 
-
-def dta_components(spikes: Tensor, p: DtaParams) -> AttentionOutput:
-    """Both branch outputs and the fused result for one fully enabled block."""
-    o_txa = t_xa(spikes, p.txa)
-    o_tna = t_na(spikes, p.tna)
-    o_dta = tz.sigmoid(o_txa * o_tna) * spikes
-    return AttentionOutput(o_txa=o_txa, o_tna=o_tna, o_dta=o_dta)

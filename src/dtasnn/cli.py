@@ -23,6 +23,7 @@ from .config import ConfigError, RunConfig, load_config
 from .data import FormatError, Sample, augment, direct_code, gen_synthetic, load_cifar10_binary, load_idx, save_synthetic
 from .gradcheck import run_suite
 from .network import CheckpointError, build, load_checkpoint, spec_mismatch
+from .ops import MissingStatisticsError
 from .training import NumericsError, evaluate, train
 
 
@@ -249,8 +250,11 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, FormatError, CheckpointError, ValueError) as exc:
-        # domain validation (NetworkSpec, TrainConfig, ...) raises ValueError
+    except (ConfigError, FormatError, CheckpointError, MissingStatisticsError,
+            ValueError) as exc:
+        # domain validation (NetworkSpec, TrainConfig, ...) raises ValueError;
+        # a checkpoint saved before the first training step has no batch-norm
+        # statistics to evaluate with
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -110,7 +110,7 @@ class RunConfig:
     def train_config(self, checkpoint_path=None) -> TrainConfig:
         return TrainConfig(
             batch_size=self.batch_size, epochs=self.epochs,
-            time_steps=self.time_steps, lr0=self.lr0, momentum=self.momentum,
+            lr0=self.lr0, momentum=self.momentum,
             weight_decay=self.weight_decay, lr_min=self.lr_min, seed=self.seed,
             log_every=self.log_every, clip=self.clip,
             checkpoint_path=checkpoint_path,

@@ -189,10 +189,17 @@ def load_cifar10_binary(directory):
 # IDX (MNIST layout): big-endian magic + dims, then raw bytes
 
 
+def _read_header(fh, nbytes: int, path) -> bytes:
+    raw = fh.read(nbytes)
+    if len(raw) != nbytes:
+        raise FormatError(f"{path}: truncated header ({len(raw)} of {nbytes} bytes)")
+    return raw
+
+
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Grayscale images in [0, 1] (N, 1, H, W) plus labels from IDX files."""
     with open(images_path, "rb") as fh:
-        magic, n, h, w = struct.unpack(">IIII", fh.read(16))
+        magic, n, h, w = struct.unpack(">IIII", _read_header(fh, 16, images_path))
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError(f"{images_path}: bad magic {magic:#010x}, "
                               f"expected {IDX_IMAGES_MAGIC:#010x}")
@@ -202,7 +209,7 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     images = np.frombuffer(buf, dtype=np.uint8).reshape(n, 1, h, w).astype(np.float32) / 255.0
 
     with open(labels_path, "rb") as fh:
-        magic, n_lab = struct.unpack(">II", fh.read(8))
+        magic, n_lab = struct.unpack(">II", _read_header(fh, 8, labels_path))
         if magic != IDX_LABELS_MAGIC:
             raise FormatError(f"{labels_path}: bad magic {magic:#010x}, "
                               f"expected {IDX_LABELS_MAGIC:#010x}")
@@ -245,29 +252,41 @@ def load_synthetic(path) -> tuple[SynthSpec, list[Sample]]:
     if blob[:8] != SYNTH_MAGIC:
         raise FormatError(f"bad container magic {blob[:8]!r}")
     off = 8
-    (jlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    header = json.loads(blob[off:off + jlen].decode("utf-8"))
-    off += jlen
-    spec = SynthSpec(
-        classes=header["classes"], time_steps=header["time_steps"],
-        channels=header["channels"], height=header["height"], width=header["width"],
-        rate_on=header["rate_on"], rate_off=header["rate_off"],
-        temporal_signature=tuple(tuple(s) for s in header["temporal_signature"]),
-        seed=header["seed"])
 
-    def read_run():
+    def take(nbytes, what) -> int:
+        """Offset of the next *nbytes*, which must lie inside the file."""
         nonlocal off
-        (n,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        vals = np.frombuffer(blob, dtype="<f4", count=n, offset=off)
-        off += 4 * n
-        return vals
+        if off + nbytes > len(blob):
+            raise FormatError(f"{path}: truncated in {what}: {nbytes} bytes "
+                              f"needed at offset {off}, file has {len(blob)}")
+        off += nbytes
+        return off - nbytes
 
-    count = header["count"]
+    (jlen,) = struct.unpack_from("<I", blob, take(4, "header length"))
+    start = take(jlen, "header")
+    try:
+        header = json.loads(blob[start:off].decode("utf-8"))
+        spec = SynthSpec(
+            classes=header["classes"], time_steps=header["time_steps"],
+            channels=header["channels"], height=header["height"], width=header["width"],
+            rate_on=header["rate_on"], rate_off=header["rate_off"],
+            temporal_signature=tuple(tuple(s) for s in header["temporal_signature"]),
+            seed=header["seed"])
+        count = int(header["count"])
+    except KeyError as exc:
+        raise FormatError(f"{path}: header is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: invalid header: {exc}") from exc
+
+    def read_run(expected_size):
+        (n,) = struct.unpack_from("<I", blob, take(4, "run length"))
+        if n != expected_size:
+            raise FormatError(f"{path}: run of {n} values, expected {expected_size}")
+        return np.frombuffer(blob, dtype="<f4", count=n, offset=take(4 * n, "run"))
+
     shape = (count, spec.time_steps, spec.channels, spec.height, spec.width)
-    inputs = read_run().reshape(shape).astype(np.float32)
-    labels = read_run().astype(np.int64)
+    inputs = read_run(int(np.prod(shape))).reshape(shape).astype(np.float32)
+    labels = read_run(count).astype(np.int64)
     samples = [Sample(input=np.ascontiguousarray(inputs[i]), label=int(labels[i]))
                for i in range(count)]
     return spec, samples

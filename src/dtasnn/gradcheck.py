@@ -72,22 +72,25 @@ class CheckResult:
         return self.max_error <= self.tolerance
 
 
-def lif_input_grad_oracle(current_values: list[np.ndarray],
-                          p) -> list[np.ndarray]:
-    """d(sum of all spikes)/d(current at each step) by forward recurrence.
+def lif_input_grad_oracle(currents: np.ndarray, p,
+                          upstream: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of ``sum(upstream * spikes)`` w.r.t. the ``(T, ...)`` currents.
 
-    Differentiates the membrane recurrence by hand, substituting the
-    triangular surrogate for the firing step's derivative, independently of
-    the taped backward pass.
+    Differentiates the membrane recurrence by hand in forward mode (one pass
+    per source step), substituting the triangular surrogate for the firing
+    step's derivative, independently of the taped backward pass. ``upstream``
+    defaults to ones: the gradient of the total spike count.
     """
     from .neuron import surrogate_values
 
-    T = len(current_values)
+    T = len(currents)
+    if upstream is None:
+        upstream = np.ones_like(currents)
     us, ss = [], []
-    u = np.zeros_like(current_values[0])
+    u = np.zeros_like(currents[0])
     s = np.zeros_like(u)
     for t in range(T):
-        u = p.tau * u * (1.0 - s) + current_values[t]
+        u = p.tau * u * (1.0 - s) + currents[t]
         s = (u >= p.v_th).astype(u.dtype)
         us.append(u)
         ss.append(s)
@@ -103,9 +106,9 @@ def lif_input_grad_oracle(current_values: list[np.ndarray],
                 if not p.reset_detached:
                     carry = carry - us[t - 1] * surrogate_values(us[t - 1], p)
                 du = p.tau * du * carry
-            total = total + surrogate_values(us[t], p) * du
+            total = total + upstream[t] * surrogate_values(us[t], p) * du
         grads.append(total)
-    return grads
+    return np.stack(grads)
 
 
 def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
@@ -192,20 +195,13 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
     # LIF unroll against the hand-differentiated recurrence, not finite
     # differences: the spiking forward is a step function.
     lif_p = neuron.LifParams(tau=0.5, v_th=1.0, alpha=1.0)
-    cs = [param(4, scale=0.4) for _ in range(3)]
-    for ct in cs:
-        ct.values += 0.8  # membrane potentials land inside the surrogate support
-
-    def lif_loss():
-        spikes = neuron.lif_unroll(cs, lif_p)
-        return tz.tsum(tz.stack(spikes))
-
-    analytic = analytic_grads(lif_loss, cs)
+    cs = param(3, 4, scale=0.4)
+    cs.values += 0.8  # membrane potentials land inside the surrogate support
+    (analytic,) = analytic_grads(lambda: tz.tsum(neuron.lif_unroll(cs, lif_p)), [cs])
     if break_op == "lif_unroll":
-        analytic = [-g for g in analytic]
-    oracle = lif_input_grad_oracle([ct.values for ct in cs], lif_p)
-    lif_err = max(max_relative_error(g, o) for g, o in zip(analytic, oracle))
-    results.append(CheckResult("lif_unroll", lif_err, 1e-3))
+        analytic = -analytic
+    oracle = lif_input_grad_oracle(cs.values, lif_p)
+    results.append(CheckResult("lif_unroll", max_relative_error(analytic, oracle), 1e-3))
 
     # full attention block over fixed binary spikes, grads on all parameters
     spk = Tensor((rng.random((2, 1, 2, 4, 4)) < 0.5).astype(np.float64))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tz
-from .attention import TnaParams, TxaParams, dta
+from .attention import TnaParams, TxaParams, dta, named_tensors
 from .neuron import LifParams, lif_unroll
 from .ops import BatchNormState, batch_norm_2d, conv2d, linear
 from .tensor import ShapeError, Tensor
@@ -172,8 +172,7 @@ def _unfold(x: Tensor, t: int, b: int) -> Tensor:
 
 def _spike_layer(x: Tensor, p: LifParams) -> Tensor:
     """Run the spiking dynamics over the leading time axis of a stacked tensor."""
-    steps = [tz.index(x, t, axis=0) for t in range(x.shape[0])]
-    return tz.stack(lif_unroll(steps, p))
+    return lif_unroll(x, p)
 
 
 class MsBlock:
@@ -277,13 +276,9 @@ class Network:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = (self.stem_conv.named_parameters("stem_conv")
                + self.stem_bn.named_parameters("stem_bn"))
-        if self.txa is not None:
-            names = ["tla_kernel", "cla_kernel", "p_t", "p_c"]
-            out += list(zip((f"txa.{n}" for n in names), self.txa.parameters()))
-        if self.tna is not None:
-            names = ["encode", "dw", "ddw", "pw", "mb_squeeze_w", "mb_squeeze_b",
-                     "mb_expand_w", "mb_expand_b", "decode"]
-            out += list(zip((f"tna.{n}" for n in names), self.tna.parameters()))
+        for prefix, params in (("txa", self.txa), ("tna", self.tna)):
+            if params is not None:
+                out += [(f"{prefix}.{n}", t) for n, t in named_tensors(params)]
         for i, block in enumerate(self.blocks):
             out += block.named_parameters(f"block{i}")
         out += self.head.named_parameters("head")
@@ -339,21 +334,31 @@ def load_checkpoint(path) -> Network:
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {blob[:8]!r}")
     off = 8
-    (jlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    spec = NetworkSpec.from_dict(json.loads(blob[off:off + jlen].decode("utf-8")))
-    off += jlen
+
+    def take(nbytes, what) -> int:
+        """Offset of the next *nbytes*, which must lie inside the file."""
+        nonlocal off
+        if off + nbytes > len(blob):
+            raise CheckpointError(f"checkpoint truncated in {what}: {nbytes} bytes "
+                                  f"needed at offset {off}, file has {len(blob)}")
+        off += nbytes
+        return off - nbytes
+
+    (jlen,) = struct.unpack_from("<I", blob, take(4, "spec length"))
+    start = take(jlen, "spec")
+    try:
+        spec = NetworkSpec.from_dict(json.loads(blob[start:off].decode("utf-8")))
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint spec is missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid checkpoint spec: {exc}") from exc
     net = build(spec, seed=0)
 
     def read_run(expected_size):
-        nonlocal off
-        (n,) = struct.unpack_from("<I", blob, off)
-        off += 4
+        (n,) = struct.unpack_from("<I", blob, take(4, "tensor length"))
         if n != expected_size:
             raise CheckpointError(f"tensor run of {n} elements, expected {expected_size}")
-        vals = np.frombuffer(blob, dtype="<f4", count=n, offset=off)
-        off += 4 * n
-        return vals
+        return np.frombuffer(blob, dtype="<f4", count=n, offset=take(4 * n, "tensor run"))
 
     for p in net.parameters():
         p.values[...] = read_run(p.size).reshape(p.shape).astype(p.dtype)

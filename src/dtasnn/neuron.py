@@ -1,11 +1,22 @@
-"""Iterative leaky integrate-and-fire layer with a triangular surrogate gradient.
+"""Multi-step leaky integrate-and-fire layer with a triangular surrogate gradient.
 
-The membrane update is ``u(t) = tau * u(t-1) * (1 - s(t-1)) + c(t)`` with a
-hard reset through the ``(1 - s(t-1))`` factor, and spikes fire whenever the
-potential reaches the threshold (boundary inclusive). Forward spikes are
-exactly binary; the backward pass substitutes a triangle of width ``2/alpha``
-centered on the threshold for the step function's derivative, so training
-unrolls into plain backpropagation through time on the record.
+:func:`lif_unroll` runs the membrane dynamics over the leading time axis of a
+stacked ``(T, ...)`` input current and records one tape node for all T steps.
+The update is ``u(t) = tau * u(t-1) * (1 - s(t-1)) + c(t)`` from a zero state,
+with a hard reset through the ``(1 - s(t-1))`` factor, and spikes fire
+whenever the potential reaches the threshold (boundary inclusive). Forward
+spikes are exactly binary; :func:`lif_forward` runs the same recurrence on raw
+arrays and also returns the potentials.
+
+The node keeps only the potentials beside its spikes. Its backward pass
+derives the surrogate ``sg(t)`` (a triangle of width ``2/alpha`` centered on
+the threshold, standing in for the step function's derivative) from them and
+runs backpropagation through time from the last step to the first::
+
+    du(t) = g(t) * sg(t) + du(t+1) * tau * [(1 - s(t)) - u(t) * sg(t)]
+
+``reset_detached`` drops the ``u(t) * sg(t)`` term, the gradient through the
+reset factor.
 """
 
 from __future__ import annotations
@@ -39,18 +50,6 @@ class LifParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
-@dataclass
-class LifState:
-    """Membrane potential and previous-step spikes; ``None`` means fresh zeros."""
-
-    u: Tensor | None = None
-    s_prev: Tensor | None = None
-
-    @classmethod
-    def fresh(cls) -> "LifState":
-        return cls()
-
-
 def surrogate_values(u: np.ndarray, p: LifParams) -> np.ndarray:
     """Triangular stand-in for the spike derivative, as a raw array.
 
@@ -58,56 +57,50 @@ def surrogate_values(u: np.ndarray, p: LifParams) -> np.ndarray:
     zero outside; peak value alpha, support width 2/alpha, unit area.
     """
     delta = np.abs(u - p.v_th)
-    return np.where(delta < 1.0 / p.alpha, p.alpha * (1.0 - p.alpha * delta), 0.0).astype(u.dtype)
+    inside = delta < 1.0 / p.alpha
+    # masking by a product is several times faster than np.where on a
+    # scattered mask; adding 0.0 turns the -0.0 it leaves outside into 0.0
+    out = p.alpha * (1.0 - p.alpha * delta) * inside + 0.0
+    return out.astype(u.dtype, copy=False)
 
 
-def surrogate_grad(u: Tensor, p: LifParams) -> Tensor:
-    """Tensor wrapper over :func:`surrogate_values` (constant, no grad path)."""
-    return Tensor(surrogate_values(u.values, p))
+def lif_forward(c: np.ndarray, p: LifParams) -> tuple[np.ndarray, np.ndarray]:
+    """Potentials and binary spikes of the recurrence over axis 0 of *c*, as raw arrays."""
+    tau = c.dtype.type(p.tau)
+    u = np.empty_like(c)
+    spikes = np.empty_like(c)
+    u[0] = c[0]
+    np.greater_equal(u[0], p.v_th, out=spikes[0])
+    for t in range(1, c.shape[0]):
+        np.multiply(u[t - 1], tau, out=u[t])
+        u[t] *= 1.0 - spikes[t - 1]
+        u[t] += c[t]
+        np.greater_equal(u[t], p.v_th, out=spikes[t])
+    return u, spikes
 
 
-def _fire(u: Tensor, p: LifParams) -> Tensor:
-    """Binary spikes from membrane potential; backward uses the surrogate."""
-    out = (u.values >= p.v_th).astype(u.dtype)
-    uv = u.values
+def lif_unroll(x: Tensor, p: LifParams) -> Tensor:
+    """Binary spikes ``(T, ...)`` from the stacked input currents ``(T, ...)``."""
+    if x.ndim < 1 or x.shape[0] < 1:
+        raise ShapeError(f"lif_unroll needs a leading time axis of at least one "
+                         f"step, got shape {x.shape}")
+    steps = x.shape[0]
+    tau = x.dtype.type(p.tau)
+    u, spikes = lif_forward(x.values, p)
 
     def bwd(g):
-        return (g * surrogate_values(uv, p),)
+        # the float ops of the chain rule through the step-by-step graph
+        # (1 - s, u * tau, times the reset, plus c, fire), in that graph's
+        # reverse order, so the gradients are the bits an unrolled tape gives
+        sg = surrogate_values(u, p)
+        keep = (u[:-1] < p.v_th) * tau  # tau * (1 - s), the carried share
+        tau_u = None if p.reset_detached else u[:-1] * tau
+        du = np.empty_like(g)
+        np.multiply(g[-1], sg[-1], out=du[-1])
+        for t in range(steps - 2, -1, -1):
+            g_spike = g[t] if tau_u is None else g[t] - du[t + 1] * tau_u[t]
+            np.multiply(g_spike, sg[t], out=du[t])
+            du[t] += du[t + 1] * keep[t]
+        return (du,)
 
-    return apply_primitive((u,), out, bwd)
-
-
-def lif_step(state: LifState, c: Tensor, p: LifParams) -> tuple[Tensor, LifState]:
-    """One membrane update and firing decision.
-
-    A fresh state adopts the shape of the input current. Returns the binary
-    spike tensor and the successor state.
-    """
-    if state.u is None:
-        u = c
-    else:
-        if state.u.shape != c.shape:
-            raise ShapeError(f"current shape {c.shape} does not match state shape {state.u.shape}")
-        s_prev = state.s_prev
-        reset = (1.0 - s_prev.detach()) if p.reset_detached else (1.0 - s_prev)
-        u = p.tau * state.u * reset + c
-    spikes = _fire(u, p)
-    return spikes, LifState(u=u, s_prev=spikes)
-
-
-def lif_unroll(currents, p: LifParams) -> list[Tensor]:
-    """Apply :func:`lif_step` over a sequence of per-step currents.
-
-    Starts from a fresh zero state; the record retains the temporal
-    dependencies, so backward flows through both the decay path and (unless
-    detached) the reset factor.
-    """
-    currents = list(currents)
-    if not currents:
-        raise ValueError("lif_unroll requires at least one time step")
-    state = LifState.fresh()
-    spikes = []
-    for c in currents:
-        s, state = lif_step(state, c, p)
-        spikes.append(s)
-    return spikes
+    return apply_primitive((x,), spikes, bwd)

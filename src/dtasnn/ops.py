@@ -16,6 +16,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import GeometryError, ShapeError, Tensor, apply_primitive
 
 
+class MissingStatisticsError(RuntimeError):
+    """Eval-mode batch norm ran before any training batch recorded statistics."""
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
            padding: int = 0, dilation: int = 1, groups: int = 1) -> Tensor:
     """2-D cross-correlation over (B, Cin, H, W) with (Cout, Cin/g, kh, kw).
@@ -249,7 +253,9 @@ def batch_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
     else:
         if state.batches_tracked == 0:
-            raise RuntimeError("batch_norm_2d eval mode before any statistics were recorded")
+            raise MissingStatisticsError(
+                "batch_norm_2d eval mode before any statistics were recorded "
+                "(the network has not run a training batch)")
         inv = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = (xv - state.running_mean[None, :, None, None]) * inv[None, :, None, None]
         out = gv * xhat + beta.values[None, :, None, None]

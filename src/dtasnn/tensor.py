@@ -13,7 +13,7 @@ code may run the same graph in float64 by constructing float64 tensors.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import erf as _erf, expit as _expit
@@ -361,15 +361,6 @@ def gelu(a: Tensor) -> Tensor:
     return apply_primitive((a,), out, bwd)
 
 
-def heaviside(a: Tensor) -> Tensor:
-    """Step function, 1 where a >= 0. Produces a constant: no backward rule.
-
-    Differentiable spiking lives in the neuron layer, which pairs this
-    forward with a surrogate-gradient backward.
-    """
-    return Tensor((a.values >= 0).astype(a.dtype))
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -444,39 +435,6 @@ def transpose(a: Tensor, perm) -> Tensor:
 
     def bwd(g):
         return (np.ascontiguousarray(np.transpose(g, inv)),)
-
-    return apply_primitive((a,), out, bwd)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = tuple(tensors)
-    if not tensors:
-        raise ShapeError("stack of an empty sequence")
-    first = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != first:
-            raise ShapeError(f"stack of mismatched shapes {first} and {t.shape}")
-    out = np.stack([t.values for t in tensors], axis=axis)
-
-    def bwd(g):
-        return tuple(np.ascontiguousarray(s) for s in np.moveaxis(g, axis, 0))
-
-    return apply_primitive(tensors, out, bwd)
-
-
-def index(a: Tensor, i: int, axis: int = 0) -> Tensor:
-    """Select one slice along *axis*; backward scatters into zeros."""
-    if not 0 <= i < a.shape[axis]:
-        raise ShapeError(f"index {i} out of range for axis {axis} of {a.shape}")
-    out = np.ascontiguousarray(np.take(a.values, i, axis=axis))
-    in_shape = a.shape
-
-    def bwd(g):
-        full = np.zeros(in_shape, dtype=g.dtype)
-        sl = [slice(None)] * len(in_shape)
-        sl[axis] = i
-        full[tuple(sl)] = g
-        return (full,)
 
     return apply_primitive((a,), out, bwd)
 

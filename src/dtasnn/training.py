@@ -27,7 +27,6 @@ class NumericsError(RuntimeError):
 class TrainConfig:
     batch_size: int = 64
     epochs: int = 250
-    time_steps: int = 4
     lr0: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 5e-5

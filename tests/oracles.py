@@ -83,11 +83,6 @@ def sigmoid_ref(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-def triangle_ref(u, v_th, alpha):
-    d = abs(u - v_th)
-    return alpha * (1.0 - alpha * d) if d < 1.0 / alpha else 0.0
-
-
 def lif_forward_ref(currents, tau, v_th):
     """Literal membrane recurrence; returns (potentials, spikes) per step."""
     us, ss = [], []
@@ -99,29 +94,6 @@ def lif_forward_ref(currents, tau, v_th):
         us.append(u.copy())
         ss.append(s.copy())
     return us, ss
-
-
-def lif_bptt_ref(currents, tau, v_th, alpha, reset_detached):
-    """d(sum of all spikes)/d(current at step k), by differentiating the
-    recurrence by hand with the triangle in place of the step derivative."""
-    tri = np.vectorize(lambda u: triangle_ref(u, v_th, alpha))
-    us, ss = lif_forward_ref(currents, tau, v_th)
-    T = len(currents)
-    grads = []
-    for k in range(T):
-        du = np.zeros_like(currents[0])
-        total = np.zeros_like(du)
-        for t in range(k, T):
-            if t == k:
-                du = np.ones_like(du)
-            else:
-                carry = 1.0 - ss[t - 1]
-                if not reset_detached:
-                    carry = carry - us[t - 1] * tri(us[t - 1])
-                du = tau * du * carry
-            total = total + tri(us[t]) * du
-        grads.append(total)
-    return grads
 
 
 def smp_loop(x):

@@ -17,9 +17,9 @@ from dtasnn.attention import DtaParams, dta, t_na, t_xa
 from dtasnn.cli import ABLATION_ROWS, ablation_warnings, format_ablation_table, run_ablation
 from dtasnn.config import RunConfig
 from dtasnn.data import SynthSpec, gen_synthetic, load_idx, parse_cifar_records
-from dtasnn.gradcheck import run_suite
+from dtasnn.gradcheck import lif_input_grad_oracle, run_suite
 from dtasnn.network import NetworkSpec, build, load_checkpoint, save_checkpoint
-from dtasnn.neuron import LifParams, lif_unroll, surrogate_grad
+from dtasnn.neuron import LifParams, lif_unroll, surrogate_values
 from dtasnn.tensor import ComputationRecord, Tensor, backward, zero_grads
 from dtasnn.training import TrainConfig, evaluate, train
 
@@ -46,15 +46,14 @@ def test_ac1_oracle_equivalence(rng):
     worst_lif = 0.0
     for detached in (False, True):
         p = LifParams(tau=0.5, v_th=1.0, alpha=1.0, reset_detached=detached)
-        cvals = [rng.standard_normal(4) * 0.4 + 0.8 for _ in range(3)]
-        cs = [Tensor(v, requires_grad=True, dtype=np.float64) for v in cvals]
-        zero_grads(cs)
+        cvals = rng.standard_normal((3, 4)) * 0.4 + 0.8
+        cs = Tensor(cvals, requires_grad=True, dtype=np.float64)
+        zero_grads([cs])
         with ComputationRecord():
-            backward(tz.tsum(tz.stack(lif_unroll(cs, p))))
-        want = oracles.lif_bptt_ref(cvals, p.tau, p.v_th, p.alpha, detached)
-        for c, w in zip(cs, want):
-            got = c.grad if c.grad is not None else np.zeros_like(w)
-            worst_lif = max(worst_lif, float(np.abs(got - w).max()))
+            backward(tz.tsum(lif_unroll(cs, p)))
+        want = lif_input_grad_oracle(cvals, p)
+        got = cs.grad if cs.grad is not None else np.zeros_like(want)
+        worst_lif = max(worst_lif, float(np.abs(got - want).max()))
 
     # attention forwards vs literal composition oracles on random instances
     worst_txa = worst_tna = 0.0
@@ -131,7 +130,7 @@ def test_ac4_trainability():
     train_set = gen_synthetic(MINI_TASK, 512)
     test_set = gen_synthetic(replace(MINI_TASK, seed=1), 256)
     net = build(MINI_NET, seed=0)
-    cfg = TrainConfig(batch_size=64, epochs=30, time_steps=6, lr0=0.1,
+    cfg = TrainConfig(batch_size=64, epochs=30, lr0=0.1,
                       weight_decay=5e-5, seed=0)
     metrics = train(net, train_set, test_set, cfg)
     acc = [m.accuracy for m in metrics if m.split == "val"][-1]
@@ -139,7 +138,7 @@ def test_ac4_trainability():
     # single-sample overfit: loss below 0.01 within 200 steps
     overfit_net = build(replace(MINI_NET, stages=((8, 1, 1),)), seed=2)
     one = train_set[:1]
-    ocfg = TrainConfig(batch_size=1, epochs=200, time_steps=6, lr0=0.05,
+    ocfg = TrainConfig(batch_size=1, epochs=200, lr0=0.05,
                        weight_decay=0.0, seed=0)
     olosses = [m.loss for m in train(overfit_net, one, [], ocfg) if m.split == "train"]
     overfit_ok = min(olosses) < 0.01
@@ -193,11 +192,11 @@ def test_ac6_surrogate_function():
                   p.v_th + 1 / alpha, p.v_th - 1 / alpha,
                   p.v_th + 2 / alpha, p.v_th - 2 / alpha]
         want = [alpha, alpha / 2, alpha / 2, 0.0, 0.0, 0.0, 0.0]
-        got = surrogate_grad(Tensor(np.array(points), dtype=np.float64), p).values
+        got = surrogate_values(np.array(points), p)
         exact_ok = exact_ok and np.array_equal(got, np.array(want))
 
         def f(u, _p=p):
-            return float(surrogate_grad(Tensor(np.array([u]), dtype=np.float64), _p).values[0])
+            return float(surrogate_values(np.array([u]), _p)[0])
 
         area, _ = quad(f, p.v_th - 2 / alpha, p.v_th + 2 / alpha,
                        points=[p.v_th - 1 / alpha, p.v_th, p.v_th + 1 / alpha])
@@ -230,7 +229,7 @@ def test_ac7_formats(tmp_path, rng):
     train_set = gen_synthetic(task, 48)
     test_set = gen_synthetic(replace(task, seed=1), 32)
     net = build(replace(MINI_NET, stages=((8, 1, 1),), stem_channels=4), seed=0)
-    cfg = TrainConfig(batch_size=16, epochs=2, time_steps=6, lr0=0.05, seed=0)
+    cfg = TrainConfig(batch_size=16, epochs=2, lr0=0.05, seed=0)
     train(net, train_set, test_set, cfg)
     before = evaluate(net, test_set, batch_size=16)
     path = tmp_path / "ac7.dtasnn"

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from dtasnn import tensor as tz
-from dtasnn.attention import (AttentionOutput, DtaParams, TnaParams, TxaParams, dta,
-                              dta_components, gtca, local_attention, ltca, smp, t_na,
-                              t_xa)
+from dtasnn.attention import (DtaParams, TnaParams, TxaParams, dta, gtca, local_attention,
+                              ltca, named_tensors, smp, t_na, t_xa)
 from dtasnn.tensor import ComputationRecord, Tensor, backward, zero_grads
 
 import oracles
@@ -229,9 +228,10 @@ class TestDta:
     def test_components_share_shape(self, rng):
         p = f64_params(2, 2, rng)
         spikes = binary_spikes(rng, (2, 1, 2, 4, 4))
-        comp = dta_components(spikes, p)
-        assert isinstance(comp, AttentionOutput)
-        assert comp.o_txa.shape == comp.o_tna.shape == comp.o_dta.shape == spikes.shape
+        o_txa = t_xa(spikes, p.txa)
+        o_tna = t_na(spikes, p.tna)
+        o_dta = dta(spikes, p.txa, p.tna, True, True)
+        assert o_txa.shape == o_tna.shape == o_dta.shape == spikes.shape
 
     def test_every_parameter_receives_nonzero_grad(self, rng):
         p = f64_params(4, 2, rng)
@@ -244,9 +244,8 @@ class TestDta:
             out = dta(spikes, p.txa, p.tna, True, True)
             err = out - target
             backward(tz.mean(err * err))
-        names = ["tla_kernel", "cla_kernel", "p_t", "p_c", "encode", "dw", "ddw",
-                 "pw", "mb_squeeze_w", "mb_squeeze_b", "mb_expand_w", "mb_expand_b",
-                 "decode"]
+        names = [n for n, _ in named_tensors(p.txa) + named_tensors(p.tna)]
+        assert len(names) == len(params) == 13
         for name, t in zip(names, params):
             assert t.grad is not None, f"{name} missing grad"
             assert np.abs(t.grad).max() > 0.0, f"{name} has all-zero grad"

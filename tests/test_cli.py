@@ -91,6 +91,30 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", ckpt] + FAST) == 2
         assert "magic" in capsys.readouterr().err
 
+    def test_checkpoint_before_first_epoch_exit_2(self, tmp_path, capsys):
+        # the initial checkpoint has no batch-norm statistics to evaluate with
+        _, out = run_fast_train(tmp_path, ["--epochs", "0"])
+        capsys.readouterr()
+        ckpt = os.path.join(out, "checkpoint.dtasnn")
+        assert main(["eval", "--checkpoint", ckpt, "--seed", "1"] + FAST) == 2
+        assert "statistics" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exit_2_at_every_offset(self, tmp_path):
+        tiny = ["--time_steps", "2", "--stem_channels", "2", "--stages", "2:1:1",
+                "--num_classes", "2", "--in_channels", "1", "--train_samples", "8",
+                "--test_samples", "8", "--synth_height", "4", "--synth_width", "4",
+                "--batch_size", "8"]
+        out = str(tmp_path / "run")
+        assert main(["train", "--out", out, "--epochs", "1"] + tiny) == 0
+        blob = open(os.path.join(out, "checkpoint.dtasnn"), "rb").read()
+        cut = str(tmp_path / "cut.dtasnn")
+        codes = set()
+        for n in range(len(blob)):
+            with open(cut, "wb") as fh:
+                fh.write(blob[:n])
+            codes.add(main(["eval", "--checkpoint", cut] + tiny))
+        assert codes == {2}
+
     def test_spec_mismatch_names_field(self, tmp_path, capsys):
         _, out = run_fast_train(tmp_path, ["--epochs", "0"])
         ckpt = os.path.join(out, "checkpoint.dtasnn")
@@ -107,9 +131,11 @@ class TestGradcheckCommand:
         assert "conv2d" in out and "FAIL" not in out
 
     def test_fault_injection_fails(self, capsys):
-        assert main(["gradcheck", "--break", "conv2d"]) == 1
-        out = capsys.readouterr().out
-        assert "conv2d" in out and "FAIL" in out
+        for op in ("conv2d", "lif_unroll"):
+            assert main(["gradcheck", "--break", op]) == 1
+            failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                      if line.endswith("FAIL")]
+            assert failed == [op]
 
     def test_each_operation_listed_once(self, capsys):
         main(["gradcheck"])

@@ -1,6 +1,8 @@
 """Binary format loaders, synthetic generator statistics, coding, augmentation."""
 
+import json
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -105,6 +107,14 @@ class TestIdx:
         with pytest.raises(FormatError, match="magic"):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_truncated_header(self, tmp_path, which):
+        img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        target = img if which == "images" else lab
+        target.write_bytes(target.read_bytes()[:6])
+        with pytest.raises(FormatError, match="truncated header"):
+            load_idx(img, lab)
+
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((2, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, images, [0])
@@ -183,7 +193,7 @@ class TestSynthetic:
                                            temporal_signature=sig, seed=1), 64)
         net = build(NetworkSpec(time_steps=6, in_channels=2, stem_channels=4,
                                 stages=((4, 1, 1),), num_classes=2), seed=0)
-        cfg = TrainConfig(batch_size=16, epochs=4, time_steps=6, lr0=0.05, seed=0)
+        cfg = TrainConfig(batch_size=16, epochs=4, lr0=0.05, seed=0)
         train(net, train_set, [], cfg)
         acc = evaluate(net, test_set, batch_size=16).accuracy
         assert acc <= 0.66  # must not significantly beat the 0.5 Bayes rate
@@ -199,6 +209,32 @@ class TestSynthetic:
         for a, b in zip(samples, loaded):
             np.testing.assert_array_equal(a.input, b.input)
             assert a.label == b.label
+
+    def test_container_truncation_at_every_offset_raises_format_error(self, tmp_path):
+        path = tmp_path / "synth.dtasnn"
+        spec = SynthSpec(time_steps=2, channels=1, height=2, width=2)
+        save_synthetic(path, spec, gen_synthetic(spec, 3))
+        blob = path.read_bytes()
+        escaped = {}
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            try:
+                load_synthetic(path)
+            except FormatError:
+                continue
+            except Exception as exc:
+                escaped[n] = type(exc).__name__
+            else:
+                escaped[n] = "no error"
+        assert not escaped, (f"{len(escaped)} of {len(blob)} offsets escaped: "
+                             f"{Counter(escaped.values())}")
+
+    def test_container_header_missing_field(self, tmp_path):
+        payload = json.dumps({"classes": 2}).encode("utf-8")
+        path = tmp_path / "synth.dtasnn"
+        path.write_bytes(b"DTASNN01" + struct.pack("<I", len(payload)) + payload)
+        with pytest.raises(FormatError, match="time_steps"):
+            load_synthetic(path)
 
     def test_container_bad_magic(self, tmp_path):
         path = tmp_path / "synth.dtasnn"

@@ -1,12 +1,16 @@
 """Backbone assembly, forward dataflow, time folding, checkpoint container."""
 
+import json
+import struct
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from dtasnn import tensor as tz
 from dtasnn.neuron import LifParams
-from dtasnn.network import (CheckpointError, NetworkSpec, build, load_checkpoint,
-                            save_checkpoint, spec_mismatch)
+from dtasnn.network import (CHECKPOINT_MAGIC, CheckpointError, NetworkSpec, build,
+                            load_checkpoint, save_checkpoint, spec_mismatch)
 from dtasnn.ops import conv2d
 from dtasnn.tensor import ShapeError, Tensor
 
@@ -14,6 +18,8 @@ import oracles
 
 MINI = NetworkSpec(time_steps=4, in_channels=3, stem_channels=16,
                    stages=((16, 1, 1), (32, 1, 2)), num_classes=10)
+TINY = NetworkSpec(time_steps=2, in_channels=1, stem_channels=2, stages=((2, 1, 1),),
+                   num_classes=2)
 
 
 def mini_parameter_count():
@@ -56,6 +62,19 @@ class TestBuild:
         tc, hidden = 64, 16
         tna = 3 * tc * tc + tc * 25 + tc * 49 + hidden * tc + hidden + tc * hidden + tc
         assert full.parameter_count() - bare.parameter_count() == txa + tna
+
+    def test_parameter_names_follow_dataclass_fields(self):
+        net = build(MINI, seed=0)
+        named = net.named_parameters()
+        assert len({n for n, _ in named}) == len(named)
+        attention = [(n, t) for n, t in named if n.startswith(("txa.", "tna."))]
+        assert [n for n, _ in attention] == [
+            "txa.tla_kernel", "txa.cla_kernel", "txa.p_t", "txa.p_c",
+            "tna.encode", "tna.dw", "tna.ddw", "tna.pw", "tna.mb_squeeze_w",
+            "tna.mb_squeeze_b", "tna.mb_expand_w", "tna.mb_expand_b", "tna.decode"]
+        for name, t in attention:
+            branch, field = name.split(".")
+            assert t is getattr(getattr(net, branch), field)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -226,6 +245,34 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob + b"\x00\x00\x00\x00")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_truncation_at_every_offset_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "net.dtasnn"
+        save_checkpoint(path, build(TINY, seed=0))
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.dtasnn"
+        escaped = {}
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            try:
+                load_checkpoint(cut)
+            except CheckpointError:
+                continue
+            except Exception as exc:
+                escaped[n] = type(exc).__name__
+            else:
+                escaped[n] = "no error"
+        assert not escaped, (f"{len(escaped)} of {len(blob)} offsets escaped: "
+                             f"{Counter(escaped.values())}")
+
+    def test_spec_missing_field_names_it(self, tmp_path):
+        spec = TINY.to_dict()
+        del spec["stages"]
+        payload = json.dumps(spec).encode("utf-8")
+        path = tmp_path / "net.dtasnn"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload)
+        with pytest.raises(CheckpointError, match="stages"):
             load_checkpoint(path)
 
     def test_spec_mismatch_names_field(self):

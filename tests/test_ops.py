@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dtasnn import tensor as tz
-from dtasnn.ops import BatchNormState, batch_norm_2d, conv1d, conv2d, linear
+from dtasnn.ops import (BatchNormState, MissingStatisticsError, batch_norm_2d, conv1d,
+                        conv2d, linear)
 from dtasnn.tensor import (ComputationRecord, GeometryError, ShapeError, Tensor,
                            backward, zero_grads)
 
@@ -218,7 +219,7 @@ class TestBatchNorm:
 
     def test_eval_before_stats_rejected(self):
         st = BatchNormState(2)
-        with pytest.raises(RuntimeError, match="statistics"):
+        with pytest.raises(MissingStatisticsError, match="statistics"):
             batch_norm_2d(Tensor(np.zeros((1, 2, 2, 2))), tz.ones(2), tz.zeros(2),
                           st, training=False)
 

@@ -126,17 +126,6 @@ class TestActivations:
     def test_sigmoid_at_zero(self):
         assert tz.sigmoid(Tensor([0.0])).item() == pytest.approx(0.5)
 
-    def test_heaviside_boundary_inclusive(self):
-        out = tz.heaviside(Tensor([-0.1, 0.0, 0.3]))
-        np.testing.assert_array_equal(out.values, [0.0, 1.0, 1.0])
-
-    def test_heaviside_has_no_gradient_path(self):
-        a = leaf([0.5])
-        with ComputationRecord():
-            s = tz.heaviside(a)
-            backward(tz.tsum(s * s + a * 0.0))
-        assert s.rec is None
-
     def test_gelu_against_independent_erf(self):
         # x * Phi(x) with Phi evaluated through math.erf
         got = tz.gelu(Tensor([1.0], dtype=np.float64)).item()
@@ -210,28 +199,6 @@ class TestLayout:
             y = tz.transpose(tz.reshape(x, (6, 4)), (1, 0))
             backward(tz.tsum(y))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
-
-    def test_stack_index_inverse(self, rng):
-        parts = [Tensor(rng.standard_normal((2, 2))) for _ in range(3)]
-        stacked = tz.stack(parts)
-        for i, p in enumerate(parts):
-            np.testing.assert_array_equal(tz.index(stacked, i).values, p.values)
-
-    def test_stack_rejects_empty_and_mismatched(self, rng):
-        with pytest.raises(ShapeError):
-            tz.stack([])
-        with pytest.raises(ShapeError):
-            tz.stack([Tensor(np.zeros(2)), Tensor(np.zeros(3))])
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ShapeError):
-            tz.index(Tensor(np.zeros((2, 2))), 2)
-
-    def test_index_backward_scatters(self):
-        x = leaf(np.arange(6.0).reshape(3, 2))
-        with ComputationRecord():
-            backward(tz.tsum(tz.index(x, 1)))
-        np.testing.assert_array_equal(x.grad, [[0, 0], [1, 1], [0, 0]])
 
 
 def test_forward_determinism(rng):

@@ -166,7 +166,7 @@ class TestEvaluate:
     def test_metrics_invariant_to_batch_size(self):
         net = build(TINY_NET, seed=1)
         samples = gen_synthetic(TINY_DATA, 30)
-        cfg = TrainConfig(batch_size=8, epochs=1, time_steps=4, lr0=0.05, seed=0)
+        cfg = TrainConfig(batch_size=8, epochs=1, lr0=0.05, seed=0)
         train(net, samples, [], cfg)
         recs = [evaluate(net, samples, batch_size=b) for b in (1, 7, 30)]
         for r in recs[1:]:
@@ -183,7 +183,7 @@ class TestTrainLoop:
         net = build(TINY_NET, seed=0)
         before = [p.values.copy() for p in net.parameters()]
         samples = gen_synthetic(TINY_DATA, 16)
-        cfg = TrainConfig(batch_size=8, epochs=2, time_steps=4, lr0=0.0, lr_min=0.0,
+        cfg = TrainConfig(batch_size=8, epochs=2, lr0=0.0, lr_min=0.0,
                           weight_decay=0.0, seed=0)
         train(net, samples, [], cfg)
         for a, b in zip(before, net.parameters()):
@@ -192,7 +192,7 @@ class TestTrainLoop:
     def test_single_sample_overfit(self):
         net = build(TINY_NET, seed=2)
         sample = gen_synthetic(TINY_DATA, 2)[:1]
-        cfg = TrainConfig(batch_size=1, epochs=200, time_steps=4, lr0=0.05,
+        cfg = TrainConfig(batch_size=1, epochs=200, lr0=0.05,
                           weight_decay=0.0, seed=0)
         metrics = train(net, sample, [], cfg)
         losses = [m.loss for m in metrics if m.split == "train"]
@@ -206,7 +206,7 @@ class TestTrainLoop:
             net = build(TINY_NET, seed=3)
             samples = gen_synthetic(TINY_DATA, 24)
             heldout = gen_synthetic(replace(TINY_DATA, seed=6), 12)
-            cfg = TrainConfig(batch_size=8, epochs=3, time_steps=4, lr0=0.05, seed=9)
+            cfg = TrainConfig(batch_size=8, epochs=3, lr0=0.05, seed=9)
             return [(m.epoch, m.split, m.loss, m.accuracy, m.lr)
                     for m in train(net, samples, heldout, cfg)]
 
@@ -216,7 +216,7 @@ class TestTrainLoop:
         net = build(TINY_NET, seed=0)
         samples = gen_synthetic(TINY_DATA, 8)
         ckpt = tmp_path / "ckpt.dtasnn"
-        cfg = TrainConfig(batch_size=4, epochs=2, time_steps=4, lr0=0.05, seed=0,
+        cfg = TrainConfig(batch_size=4, epochs=2, lr0=0.05, seed=0,
                           checkpoint_path=str(ckpt))
         net.stem_conv.weight.values[0, 0, 0, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
