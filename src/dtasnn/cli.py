@@ -83,19 +83,16 @@ def cmd_train(cfg: RunConfig) -> int:
     tcfg = cfg.train_config(checkpoint_path=ckpt)
     metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")
     with open(metrics_path, "w", encoding="utf-8") as fh:
-        class _Tee:
+        def tee(rec):
             # the file gets every record; stdout echoes every log_every epochs
-            def write(self, s):
-                fh.write(s)
-                if s.strip() and json.loads(s)["epoch"] % cfg.log_every == 0:
-                    sys.stdout.write(s)
+            line = rec.to_json() + "\n"
+            fh.write(line)
+            fh.flush()
+            if rec.epoch % cfg.log_every == 0:
+                sys.stdout.write(line)
+            sys.stdout.flush()
 
-            def flush(self):
-                fh.flush()
-                sys.stdout.flush()
-
-        train(net, train_set, test_set, tcfg, epoch_transform=transform,
-              metrics_out=_Tee())
+        train(net, train_set, test_set, tcfg, epoch_transform=transform, on_metrics=tee)
     return 0
 
 

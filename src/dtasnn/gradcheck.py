@@ -164,6 +164,16 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
     run("conv2d", 1e-3,
         lambda: tz.tsum(ops.conv2d(x2, w2, b2, stride=2, padding=1, groups=2) * probe2),
         [x2, w2, b2])
+    # depth-wise path, stride 2 and dilation 3: five of the nine taps read
+    # padding only
+    xd = param(2, 3, 4, 4, scale=0.5)
+    wd = param(3, 1, 3, 3, scale=0.5)
+    bd = param(3, scale=0.1)
+    probed = Tensor(rng.standard_normal((2, 3, 2, 2)), dtype=np.float64)
+    run("conv2d_depthwise", 1e-3,
+        lambda: tz.tsum(ops.conv2d(xd, wd, bd, stride=2, padding=3, dilation=3,
+                                   groups=3) * probed),
+        [xd, wd, bd])
 
     x1 = param(1, 2, 5, scale=0.5)
     w1 = param(2, 2, 3, scale=0.5)

@@ -14,6 +14,7 @@ per-sample operations (batch norm is *defined* over the folded T*B batch).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -317,15 +318,28 @@ def build(spec: NetworkSpec, seed: int) -> Network:
 
 
 def save_checkpoint(path, net: Network) -> None:
+    """Write *net* to *path*, replacing any checkpoint there only once complete.
+
+    The bytes go to ``<path>.tmp`` in the same directory, which then replaces
+    *path*, so a write that fails or is killed midway leaves the previous
+    checkpoint as it was.
+    """
     payload = json.dumps(net.spec.to_dict(), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
-        for arr in net.state_arrays():
-            flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
-            fh.write(struct.pack("<I", flat.size))
-            fh.write(flat.tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(payload)))
+            fh.write(payload)
+            for arr in net.state_arrays():
+                flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
+                fh.write(struct.pack("<I", flat.size))
+                fh.write(flat.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Network:

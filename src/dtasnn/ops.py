@@ -1,9 +1,11 @@
 """Convolution, affine, and normalization primitives.
 
-All convolutions use cross-correlation semantics (no kernel flip). Forward
-kernels build strided window views over the zero-padded input and contract
-them with einsum; backward scatters per kernel tap, which keeps every
-reduction a plain numpy sum with deterministic ordering.
+All convolutions use cross-correlation semantics (no kernel flip). The
+point-wise and general conv2d kernels build strided window views over the
+zero-padded input and contract them with matmul; the depth-wise kernel works
+channels-last on the unpadded input, one in-image rectangle per kernel tap.
+Backward passes scatter per kernel tap, which keeps every reduction a plain
+numpy sum with deterministic ordering.
 """
 
 from __future__ import annotations
@@ -20,6 +22,33 @@ class MissingStatisticsError(RuntimeError):
     """Eval-mode batch norm ran before any training batch recorded statistics."""
 
 
+def _pad_hw(a: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the two trailing axes of (B, C, H, W) by *padding* each side."""
+    if padding == 0:
+        return a
+    return np.pad(a, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def _channels_last(a: np.ndarray) -> np.ndarray:
+    """(B, C, H, W) to a contiguous (B, H, W, C) copy."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def _tap_span(offset: int, n_in: int, n_out: int, stride: int):
+    """Output and input slices of one tap offset along one spatial axis.
+
+    Output index i reads input index ``i * stride + offset``. Returns
+    ``(out_slice, in_slice, count)`` over the outputs whose input lies in
+    ``[0, n_in)``, or None when the tap reads padding only.
+    """
+    lo = max(0, -(offset // stride))
+    hi = min(n_out, (n_in - 1 - offset) // stride + 1)
+    if hi <= lo:
+        return None
+    start = lo * stride + offset
+    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride), hi - lo
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
            padding: int = 0, dilation: int = 1, groups: int = 1) -> Tensor:
     """2-D cross-correlation over (B, Cin, H, W) with (Cout, Cin/g, kh, kw).
@@ -29,6 +58,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     Three kernel paths (point-wise matmul, depth-wise tap loop, general
     im2col + matmul) share one contract and are oracle-tested against a naive
     loop nest.
+
+    The depth-wise path runs in (B, H, W, C) layout, so every numpy inner loop
+    spans the C channels. For each tap it visits only the output rectangle
+    whose inputs lie inside the image and skips taps that read padding alone;
+    it builds no padded copy and its node keeps only the input and weights.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weight, got {x.shape} and {w.shape}")
@@ -46,8 +80,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
             f"{kh}x{kw}, stride {stride}, padding {padding}, dilation {dilation}")
 
     xv, wv = x.values, w.values
-    xp = xv if padding == 0 else np.pad(
-        xv, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
     def tap(arr, u, v):
         return arr[:, :,
@@ -59,6 +91,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
 
     if kh == 1 and kw == 1 and groups == 1:
         # point-wise: one matmul over channels
+        xp = _pad_hw(xv, padding)
         xs = tap(xp, 0, 0)
         w2 = wv[:, :, 0, 0]
         out = np.moveaxis(np.tensordot(w2, xs, axes=([1], [1])), 0, 1)
@@ -77,30 +110,43 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
             return gx, gw, g.sum(axis=(0, 2, 3))
 
     elif groups == C and Cg == 1 and Cout == C:
-        # depth-wise: accumulate one scaled shifted slice per kernel tap
-        out = np.zeros((B, C, Ho, Wo), dtype=xv.dtype)
-        buf = np.empty_like(out)
+        # depth-wise, channels-last: per tap, multiply-accumulate the output
+        # rectangle whose inputs lie in the image, in (u, v) order
+        taps = []
         for u in range(kh):
+            rows = _tap_span(u * dilation - padding, H, Ho, stride)
             for v in range(kw):
-                np.multiply(tap(xp, u, v), wv[:, 0, u, v][None, :, None, None], out=buf)
-                out += buf
+                cols = _tap_span(v * dilation - padding, W, Wo, stride)
+                if rows is not None and cols is not None:
+                    taps.append((u, v, rows, cols))
+        out_l = np.zeros((B, Ho, Wo, C), dtype=xv.dtype)
+        buf = np.empty_like(out_l)
+        x_l = _channels_last(xv)
+        for u, v, (ro, ri, nr), (co, ci, nc) in taps:
+            acc = buf[:, :nr, :nc]
+            np.multiply(x_l[:, ri, ci], wv[:, 0, u, v], out=acc)
+            out_l[:, ro, co] += acc
+        out = np.ascontiguousarray(out_l.transpose(0, 3, 1, 2))
 
         def bwd(g):
-            gw = np.empty_like(wv)
-            gxp = np.zeros_like(xp)
-            scratch = np.empty_like(g)
-            for u in range(kh):
-                for v in range(kw):
-                    gw[:, 0, u, v] = np.einsum("bchw,bchw->c", g, tap(xp, u, v))
-                    np.multiply(g, wv[:, 0, u, v][None, :, None, None], out=scratch)
-                    tap(gxp, u, v)[...] += scratch
-            gx = crop(gxp) if padding else gxp
+            x_l, g_l = _channels_last(xv), _channels_last(g)
+            gw = np.zeros_like(wv)
+            gx_l = np.zeros_like(x_l)
+            scratch = np.empty_like(g_l)
+            for u, v, (ro, ri, nr), (co, ci, nc) in taps:
+                g_tap = g_l[:, ro, co]
+                gw[:, 0, u, v] = np.einsum("bhwc,bhwc->c", g_tap, x_l[:, ri, ci])
+                acc = scratch[:, :nr, :nc]
+                np.multiply(g_tap, wv[:, 0, u, v], out=acc)
+                gx_l[:, ri, ci] += acc
+            gx = np.ascontiguousarray(gx_l.transpose(0, 3, 1, 2))
             if bias is None:
                 return gx, gw
             return gx, gw, g.sum(axis=(0, 2, 3))
 
     else:
         # general (possibly grouped): im2col then one matmul per group
+        xp = _pad_hw(xv, padding)
         eff_h = dilation * (kh - 1) + 1
         eff_w = dilation * (kw - 1) + 1
         win = sliding_window_view(xp, (eff_h, eff_w), axis=(2, 3))

@@ -158,13 +158,20 @@ class _Node:
 
 _ACTIVE: "ComputationRecord | None" = None
 
+# The record whose backward ran last. Its nodes hold it in a reference cycle
+# (node -> out -> rec -> nodes), so the next backward clears them; clearing a
+# record's own nodes right after its backward makes every step return its tape
+# pages to the allocator and fault them in again.
+_LAST_BACKWARD: "ComputationRecord | None" = None
+
 
 class ComputationRecord:
     """Append-only tape of executed primitives.
 
     Creation order is topological order; :func:`backward` traverses it in
     exact reverse. A record is single-use: a second backward raises
-    :class:`RecordError`.
+    :class:`RecordError`. Its nodes stay until the next record's backward
+    finishes, which clears them.
     """
 
     def __init__(self):
@@ -224,8 +231,10 @@ def backward(loss: Tensor) -> None:
 
     Accumulation is additive: a tensor consumed k times receives the sum of
     its k partials. Raises on a non-scalar loss, a loss detached from any
-    record, or a record whose backward already ran.
+    record, or a record whose backward already ran. On success it clears the
+    nodes of the record whose backward ran before this one, freeing that tape.
     """
+    global _LAST_BACKWARD
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     rec = loss.rec
@@ -246,6 +255,9 @@ def backward(loss: Tensor) -> None:
             if t.rec is rec or t.requires_grad:
                 t.grad = p if t.grad is None else t.grad + p
     rec._release_leaves()
+    if _LAST_BACKWARD is not None:
+        _LAST_BACKWARD.nodes.clear()
+    _LAST_BACKWARD = rec
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

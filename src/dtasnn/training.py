@@ -159,11 +159,12 @@ def evaluate(net: Network, samples, batch_size: int, epoch: int = 0,
 
 
 def train(net: Network, train_samples, val_samples, cfg: TrainConfig,
-          epoch_transform=None, metrics_out=None) -> list[MetricsRecord]:
+          epoch_transform=None, on_metrics=None) -> list[MetricsRecord]:
     """Full training loop; returns the metrics stream it emitted.
 
     ``epoch_transform(samples, rng)`` may rebuild the training list each epoch
-    (augmentation). The best-validation checkpoint is kept at
+    (augmentation). ``on_metrics(record)`` is called with each record as it is
+    emitted. The best-validation checkpoint is kept at
     ``cfg.checkpoint_path``; a non-finite loss aborts with the last good
     checkpoint retained.
     """
@@ -177,9 +178,8 @@ def train(net: Network, train_samples, val_samples, cfg: TrainConfig,
 
     def emit(rec: MetricsRecord):
         metrics.append(rec)
-        if metrics_out is not None:
-            metrics_out.write(rec.to_json() + "\n")
-            metrics_out.flush()
+        if on_metrics is not None:
+            on_metrics(rec)
 
     if cfg.checkpoint_path:
         save_checkpoint(cfg.checkpoint_path, net)

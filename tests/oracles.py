@@ -39,6 +39,70 @@ def conv2d_loop(x, w, bias=None, stride=1, padding=1, dilation=1, groups=1):
     return out
 
 
+def conv2d_loop_grads(x, w, g, stride=1, padding=1, dilation=1, groups=1):
+    """Gradients of ``sum(g * conv2d_loop(x, w))`` w.r.t. x and w, in float64.
+
+    The same six-nested loop: each product's partials land on the input
+    element and the weight it read.
+    """
+    B, C, H, W = x.shape
+    Cout, Cg, kh, kw = w.shape
+    xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding), dtype=np.float64)
+    xp[:, :, padding:padding + H, padding:padding + W] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros((Cout, Cg, kh, kw), dtype=np.float64)
+    cpg = C // groups
+    opg = Cout // groups
+    for b in range(B):
+        for co in range(Cout):
+            ci0 = (co // opg) * cpg
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    for ci in range(Cg):
+                        for u in range(kh):
+                            for v in range(kw):
+                                r = i * stride + u * dilation
+                                s = j * stride + v * dilation
+                                gw[co, ci, u, v] += g[b, co, i, j] * xp[b, ci0 + ci, r, s]
+                                gxp[b, ci0 + ci, r, s] += g[b, co, i, j] * w[co, ci, u, v]
+    return gxp[:, :, padding:padding + H, padding:padding + W], gw
+
+
+def depthwise_tap_loop(x, w, g, bias=None, stride=1, padding=0, dilation=1):
+    """Forward output and input gradient of the padded NCHW depth-wise tap loop.
+
+    A copy of the kernel the channels-last one replaced: one scaled, shifted
+    slice of the zero-padded input per tap, in (u, v) order, and the input
+    gradient scattered per tap into a padded buffer and cropped. The
+    channels-last kernel keeps these float ops in this order, so its forward
+    and input gradient must match these bits exactly.
+    """
+    B, C, H, W = x.shape
+    kh, kw = w.shape[2:]
+    Ho = (H + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
+    Wo = (W + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+    def tap(arr, u, v):
+        return arr[:, :,
+                   u * dilation:u * dilation + stride * Ho:stride,
+                   v * dilation:v * dilation + stride * Wo:stride]
+
+    out = np.zeros((B, C, Ho, Wo), dtype=x.dtype)
+    buf = np.empty_like(out)
+    gxp = np.zeros_like(xp)
+    scratch = np.empty_like(g)
+    for u in range(kh):
+        for v in range(kw):
+            np.multiply(tap(xp, u, v), w[:, 0, u, v][None, :, None, None], out=buf)
+            out += buf
+            np.multiply(g, w[:, 0, u, v][None, :, None, None], out=scratch)
+            tap(gxp, u, v)[...] += scratch
+    if bias is not None:
+        out = out + bias[None, :, None, None]
+    return out, gxp[:, :, padding:padding + H, padding:padding + W]
+
+
 def conv1d_loop(x, w, padding):
     """Hand cross-correlation over (B, S, L) with (S_out, S, k)."""
     B, S, L = x.shape

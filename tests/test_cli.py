@@ -131,7 +131,7 @@ class TestGradcheckCommand:
         assert "conv2d" in out and "FAIL" not in out
 
     def test_fault_injection_fails(self, capsys):
-        for op in ("conv2d", "lif_unroll"):
+        for op in ("conv2d", "conv2d_depthwise", "lif_unroll"):
             assert main(["gradcheck", "--break", op]) == 1
             failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                       if line.endswith("FAIL")]
@@ -143,7 +143,8 @@ class TestGradcheckCommand:
                  if "max_rel_err" in line]
         assert len(names) == len(set(names))
         for expected in ("add", "sub", "mul", "sigmoid", "gelu", "relu", "mean",
-                         "reshape", "transpose", "conv2d", "conv1d", "linear",
+                         "reshape", "transpose", "conv2d", "conv2d_depthwise",
+                         "conv1d", "linear",
                          "batch_norm_2d", "cross_entropy", "lif_unroll", "dta_block"):
             assert expected in names
 

@@ -1,6 +1,7 @@
 """Backbone assembly, forward dataflow, time folding, checkpoint container."""
 
 import json
+import os
 import struct
 from collections import Counter
 
@@ -229,6 +230,26 @@ class TestCheckpoint:
         assert spec_mismatch(loaded.spec, net.spec) is None
         for a, b in zip(net.state_arrays(), loaded.state_arrays()):
             np.testing.assert_array_equal(a, b)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.dtasnn"
+        save_checkpoint(path, build(MINI, seed=0))
+        before = path.read_bytes()
+        net = build(MINI, seed=1)
+        arrays = net.state_arrays()
+
+        def fail_partway():
+            yield from arrays[:3]
+            raise OSError("disk full")
+
+        monkeypatch.setattr(net, "state_arrays", fail_partway)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, net)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["net.dtasnn"]
+        loaded = load_checkpoint(path)
+        for a, b in zip(build(MINI, seed=0).state_arrays(), loaded.state_arrays()):
+            assert a.tobytes() == b.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "net.dtasnn"

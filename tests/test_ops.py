@@ -9,7 +9,8 @@ from dtasnn.ops import (BatchNormState, MissingStatisticsError, batch_norm_2d, c
 from dtasnn.tensor import (ComputationRecord, GeometryError, ShapeError, Tensor,
                            backward, zero_grads)
 
-from oracles import conv1d_loop, conv2d_loop, fd_grad
+from oracles import (conv1d_loop, conv2d_loop, conv2d_loop_grads, depthwise_tap_loop,
+                     fd_grad)
 
 
 def leaf(values):
@@ -116,6 +117,70 @@ class TestConv2dGradients:
                                    rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(gb, fd_grad(lambda v: oracle(xv, wv, v), bv),
                                    rtol=1e-5, atol=1e-8)
+
+
+class TestDepthwise:
+    # (input shape, kernel size, geometry); groups = channels throughout
+    GEOMETRIES = [
+        ((2, 3, 7, 6), 3, dict(stride=2, padding=1)),
+        # the desk T-NA dilated conv: 24 of the 49 taps read padding only
+        ((2, 3, 8, 8), 7, dict(padding=9, dilation=3)),
+        # padding >= input extent: only the centre tap reads the image
+        ((2, 3, 3, 2), 7, dict(padding=9, dilation=3)),
+        ((1, 2, 4, 5), 3, dict(stride=2, padding=3, dilation=3)),
+        # every tap reads padding only: the output is the bias
+        ((2, 2, 1, 1), 1, dict(stride=2, padding=1)),
+    ]
+
+    @staticmethod
+    def run(xv, wv, bv, g, kwargs):
+        """Forward values and (gx, gw[, gb]) of conv2d for upstream gradient g."""
+        x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
+        b = None if bv is None else Tensor(bv, requires_grad=True)
+        params = [x, w] if b is None else [x, w, b]
+        with ComputationRecord():
+            out = conv2d(x, w, b, groups=xv.shape[1], **kwargs)
+            backward(tz.tsum(out * Tensor(g)))
+        return out.values, [p.grad for p in params]
+
+    @staticmethod
+    def inputs(rng, shape, k, dtype, with_bias):
+        C = shape[1]
+        xv = rng.standard_normal(shape).astype(dtype)
+        wv = rng.standard_normal((C, 1, k, k)).astype(dtype)
+        bv = rng.standard_normal(C).astype(dtype) if with_bias else None
+        return xv, wv, bv
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("shape,k,kwargs", GEOMETRIES)
+    def test_matches_loop_oracle(self, rng, shape, k, kwargs, dtype, with_bias):
+        xv, wv, bv = self.inputs(rng, shape, k, dtype, with_bias)
+        full = {"stride": 1, "padding": 0, "dilation": 1, "groups": shape[1], **kwargs}
+        want = conv2d_loop(xv, wv, bv, **full)
+        g = rng.standard_normal(want.shape).astype(dtype)
+        out, grads = self.run(xv, wv, bv, g, kwargs)
+        want_gx, want_gw = conv2d_loop_grads(xv, wv, g, **full)
+        tol = dict(rtol=1e-12, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-5)
+        assert out.dtype == dtype and all(p.dtype == dtype for p in grads)
+        np.testing.assert_allclose(out, want, **tol)
+        np.testing.assert_allclose(grads[0], want_gx, **tol)
+        np.testing.assert_allclose(grads[1], want_gw, **tol)
+        if with_bias:
+            np.testing.assert_allclose(grads[2], g.sum(axis=(0, 2, 3)), **tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("shape,k,kwargs", GEOMETRIES)
+    def test_forward_and_input_grad_bits_match_tap_loop(self, rng, shape, k, kwargs,
+                                                        dtype, with_bias):
+        xv, wv, bv = self.inputs(rng, shape, k, dtype, with_bias)
+        out_shape = conv2d(Tensor(xv), Tensor(wv), groups=shape[1], **kwargs).shape
+        g = rng.standard_normal(out_shape).astype(dtype)
+        want_out, want_gx = depthwise_tap_loop(xv, wv, g, bv, **kwargs)
+        out, grads = self.run(xv, wv, bv, g, kwargs)
+        assert out.tobytes() == want_out.tobytes()
+        assert grads[0].tobytes() == want_gx.tobytes()
 
 
 class TestConv2dErrors:

@@ -1,5 +1,8 @@
 """Core tensor and tape semantics: broadcasting, backward rules, determinism."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,26 @@ class TestBackwardSemantics:
         with ComputationRecord():
             backward(tz.tsum(a * a.detach()))
         np.testing.assert_array_equal(a.grad, [2.0])  # only the live path
+
+
+    def test_previous_tape_freed_by_next_backward(self):
+        # with the cyclic GC off, only the engine can free a finished tape
+        a = leaf([0.5, -1.0])
+
+        def step():
+            with ComputationRecord() as rec:
+                backward(tz.tsum(tz.sigmoid(a * 2.0)))
+            return weakref.ref(rec.nodes[0].out.values)
+
+        gc.disable()
+        try:
+            first = step()
+            assert first() is not None
+            second = step()
+            assert first() is None
+            assert second() is not None
+        finally:
+            gc.enable()
 
 
 class TestActivations:

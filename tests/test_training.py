@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dtasnn import training
 from dtasnn.data import SynthSpec, gen_synthetic
 from dtasnn.network import NetworkSpec, build, load_checkpoint
 from dtasnn.neuron import LifParams
@@ -211,6 +212,27 @@ class TestTrainLoop:
                     for m in train(net, samples, heldout, cfg)]
 
         assert run() == run()
+
+    def test_freeing_tapes_leaves_parameters_bitwise_unchanged(self, monkeypatch):
+        def run():
+            net = build(TINY_NET, seed=4)
+            cfg = TrainConfig(batch_size=4, epochs=2, lr0=0.05, seed=1)
+            train(net, gen_synthetic(TINY_DATA, 12), [], cfg)
+            return [p.values.copy() for p in net.parameters()]
+
+        freed = run()
+        kept = []
+
+        def backward_keeping_tape(loss):
+            backward(loss)
+            kept.append(list(loss.rec.nodes))
+
+        # every step's tape stays alive, as when the engine freed none
+        monkeypatch.setattr(training, "backward", backward_keeping_tape)
+        held = run()
+        assert len(kept) == 6 and all(kept)
+        for a, b in zip(freed, held):
+            assert a.tobytes() == b.tobytes()
 
     def test_nonfinite_loss_aborts_keeping_last_checkpoint(self, tmp_path):
         net = build(TINY_NET, seed=0)
