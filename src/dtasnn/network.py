@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,9 @@ from .neuron import LifParams, lif_unroll
 from .ops import BatchNormState, batch_norm_2d, conv2d, linear
 from .tensor import ShapeError, Tensor
 
-CHECKPOINT_MAGIC = b"DTASNN01"
+# DTASNN02 appends a CRC32 trailer; DTASNN01 files (no trailer) still load
+CHECKPOINT_MAGIC = b"DTASNN02"
+CHECKPOINT_MAGIC_V1 = b"DTASNN01"
 
 
 class CheckpointError(ValueError):
@@ -313,8 +316,9 @@ def build(spec: NetworkSpec, seed: int) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: magic, length-prefixed JSON spec, then tensors as
-# little-endian float32 runs with u32 element-count prefixes
+# checkpoint container: magic, length-prefixed JSON spec, tensors as
+# little-endian float32 runs with u32 element-count prefixes, then the
+# little-endian u32 CRC32 of every preceding byte
 
 
 def save_checkpoint(path, net: Network) -> None:
@@ -327,15 +331,23 @@ def save_checkpoint(path, net: Network) -> None:
     payload = json.dumps(net.spec.to_dict(), sort_keys=True).encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
     fh = open(tmp, "wb")
+    crc = 0
+
+    def write(chunk: bytes) -> None:
+        nonlocal crc
+        crc = zlib.crc32(chunk, crc)
+        fh.write(chunk)
+
     try:
         with fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(payload)))
-            fh.write(payload)
+            write(CHECKPOINT_MAGIC)
+            write(struct.pack("<I", len(payload)))
+            write(payload)
             for arr in net.state_arrays():
                 flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
-                fh.write(struct.pack("<I", flat.size))
-                fh.write(flat.tobytes())
+                write(struct.pack("<I", flat.size))
+                write(flat.tobytes())
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -343,9 +355,19 @@ def save_checkpoint(path, net: Network) -> None:
 
 
 def load_checkpoint(path) -> Network:
+    """Read a ``DTASNN02`` checkpoint, or a ``DTASNN01`` one (no CRC trailer)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:8] != CHECKPOINT_MAGIC:
+    if blob[:8] == CHECKPOINT_MAGIC:
+        if len(blob) < 12:
+            raise CheckpointError(f"checkpoint truncated: {len(blob)} bytes, no CRC trailer")
+        (stored,) = struct.unpack_from("<I", blob, len(blob) - 4)
+        blob = blob[:-4]
+        crc = zlib.crc32(blob)
+        if crc != stored:
+            raise CheckpointError(f"checkpoint CRC32 mismatch: stored {stored:#010x}, "
+                                  f"contents {crc:#010x}")
+    elif blob[:8] != CHECKPOINT_MAGIC_V1:
         raise CheckpointError(f"bad checkpoint magic {blob[:8]!r}")
     off = 8
 

@@ -1,11 +1,16 @@
 """Convolution, affine, and normalization primitives.
 
-All convolutions use cross-correlation semantics (no kernel flip). The
-point-wise and general conv2d kernels build strided window views over the
-zero-padded input and contract them with matmul; the depth-wise kernel works
-channels-last on the unpadded input, one in-image rectangle per kernel tap.
-Backward passes scatter per kernel tap, which keeps every reduction a plain
-numpy sum with deterministic ordering.
+All convolutions use cross-correlation semantics (no kernel flip). conv2d
+has three kernel paths. The point-wise kernel contracts a strided view of the
+zero-padded input with one matmul. The general kernel is an implicit GEMM
+(Chetlur et al., "cuDNN: Efficient Primitives for Deep Learning", 2014): it
+copies the input once into a zero-padded channels-last grid, split into
+stride x stride phases, and runs one accumulating matmul per kernel tap and
+group over a shifted block of that grid's rows, so no im2col column matrix is
+built or kept for the backward. The depth-wise kernel works channels-last on
+the unpadded input, one in-image rectangle per kernel tap. Every kernel
+visits its taps in a fixed order, so results are deterministic for a fixed
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dgemm as _dgemm, sgemm as _sgemm
 
 from .tensor import GeometryError, ShapeError, Tensor, apply_primitive
 
@@ -49,6 +55,62 @@ def _tap_span(offset: int, n_in: int, n_out: int, stride: int):
     return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride), hi - lo
 
 
+def _addmm(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``c += a @ b`` in place, for a C-contiguous 2-D *c*.
+
+    numpy's matmul cannot accumulate into its output, so this calls BLAS gemm
+    with beta = 1 on the transposed operands (``c.T += b.T @ a.T``; ``c.T`` is
+    Fortran-ordered, which gemm updates without a copy).
+    """
+    if not c.flags.c_contiguous:
+        raise ValueError("_addmm needs a C-contiguous accumulator")
+    gemm = _sgemm if c.dtype == np.float32 else _dgemm
+    gemm(1.0, b.T, a.T, beta=1.0, c=c.T, overwrite_c=True)
+
+
+def _phase_spans(H: int, W: int, Hq: int, Wq: int, padding: int, stride: int):
+    """``(p, q, rows, cols)`` of every phase that holds image pixels.
+
+    Phase (p, q) of the zero-padded input holds padded position
+    ``(i * stride + p, j * stride + q)`` at grid position (i, j); ``rows`` and
+    ``cols`` are the :func:`_tap_span` triples of its in-image part.
+    """
+    spans = []
+    for p in range(stride):
+        rows = _tap_span(p - padding, H, Hq, stride)
+        for q in range(stride):
+            cols = _tap_span(q - padding, W, Wq, stride)
+            if rows is not None and cols is not None:
+                spans.append((p, q, rows, cols))
+    return spans
+
+
+def _to_phases(a: np.ndarray, spans, groups: int, Hq: int, Wq: int, stride: int,
+               dtype) -> np.ndarray:
+    """(B, C, H, W) to its zero-padded phases, (s, s, G, B*Hq*Wq, C/G)."""
+    B, C = a.shape[:2]
+    Cg = C // groups
+    grid = np.zeros((stride, stride, groups, B, Hq, Wq, Cg), dtype=dtype)
+    for p, q, (ro, ri, nr), (co, ci, nc) in spans:
+        grid[p, q, :, :, ro, co] = (
+            a[:, :, ri, ci].reshape(B, groups, Cg, nr, nc).transpose(1, 0, 3, 4, 2))
+    return grid.reshape(stride, stride, groups, B * Hq * Wq, Cg)
+
+
+def _from_phases(ph: np.ndarray, spans, shape: tuple, Hq: int, Wq: int,
+                 dtype) -> np.ndarray:
+    """Inverse of :func:`_to_phases`: the in-image part, back to (B, C, H, W)."""
+    B, C, H, W = shape
+    stride, _, groups, _, Cg = ph.shape
+    grid = ph.reshape(stride, stride, groups, B, Hq, Wq, Cg)
+    out = np.empty(shape, dtype=dtype)
+    # the phases partition the padded grid, so every pixel is written once
+    for p, q, (ro, ri, nr), (co, ci, nc) in spans:
+        out[:, :, ri, ci] = grid[p, q, :, :, ro, co].transpose(1, 0, 4, 2, 3).reshape(
+            B, C, nr, nc)
+    return out
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
            padding: int = 0, dilation: int = 1, groups: int = 1) -> Tensor:
     """2-D cross-correlation over (B, Cin, H, W) with (Cout, Cin/g, kh, kw).
@@ -56,8 +118,18 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     ``groups=Cin`` with single-channel kernels gives a depth-wise convolution,
     1x1 kernels give a point-wise one, and ``dilation > 1`` spreads the taps.
     Three kernel paths (point-wise matmul, depth-wise tap loop, general
-    im2col + matmul) share one contract and are oracle-tested against a naive
+    implicit GEMM) share one contract and are oracle-tested against a naive
     loop nest.
+
+    The general path pads the input once into a channels-last grid and splits
+    it into ``stride x stride`` phases of ``Hq x Wq`` positions,
+    ``Hq = ceil((H + 2 * padding) / stride)``. Tap (u, v) reads phase
+    ``(u * dilation % stride, v * dilation % stride)`` at a constant row shift
+    of ``(u * dilation // stride) * Wq + v * dilation // stride``, so it is one
+    matmul per group over contiguous rows, accumulated into an output on the
+    same grid that is cropped to (Ho, Wo). Its node keeps the phase grid
+    (about the size of the padded input) and, for a constant input such as a
+    data batch, returns no input gradient.
 
     The depth-wise path runs in (B, H, W, C) layout, so every numpy inner loop
     spans the C channels. For each tap it visits only the output rectangle
@@ -145,39 +217,49 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
             return gx, gw, g.sum(axis=(0, 2, 3))
 
     else:
-        # general (possibly grouped): im2col then one matmul per group
-        xp = _pad_hw(xv, padding)
-        eff_h = dilation * (kh - 1) + 1
-        eff_w = dilation * (kw - 1) + 1
-        win = sliding_window_view(xp, (eff_h, eff_w), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride, ::dilation, ::dilation]
-        # (B, Ho, Wo, C, kh, kw) contiguous, flattened per group below
-        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-        cols = cols.reshape(B * Ho * Wo, groups, Cg * kh * kw)
-        w2 = wv.reshape(groups, Cout // groups, Cg * kh * kw)
-        out_flat = np.empty((B * Ho * Wo, groups, Cout // groups), dtype=xv.dtype)
-        for gi in range(groups):
-            out_flat[:, gi, :] = cols[:, gi, :] @ w2[gi].T
+        # general (possibly grouped): implicit GEMM over the padded phase grid;
+        # grid positions past (Ho, Wo) read wrapped rows and are cropped
+        Og = Cout // groups
+        Hq = -(-(H + 2 * padding) // stride)
+        Wq = -(-(W + 2 * padding) // stride)
+        N = B * Hq * Wq
+        dtype = np.result_type(xv, wv)
+        spans = _phase_spans(H, W, Hq, Wq, padding, stride)
+        phases = _to_phases(xv, spans, groups, Hq, Wq, stride, dtype)
+        # (kh, kw, G, Cg, Og): the per-tap, per-group right-hand operand
+        wt = np.ascontiguousarray(
+            wv.reshape(groups, Og, Cg, kh, kw).transpose(3, 4, 0, 2, 1), dtype=dtype)
+        taps = [(u, v, u * dilation % stride, v * dilation % stride,
+                 u * dilation // stride * Wq + v * dilation // stride)
+                for u in range(kh) for v in range(kw)]
+        out_g = np.zeros((groups, N, Og), dtype=dtype)
+        for u, v, a, b, shift in taps:
+            for gi in range(groups):
+                _addmm(out_g[gi, :N - shift], phases[a, b, gi, shift:], wt[u, v, gi])
         out = np.ascontiguousarray(
-            out_flat.reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2))
+            out_g.reshape(groups, B, Hq, Wq, Og)[:, :, :Ho, :Wo].transpose(1, 0, 4, 2, 3)
+        ).reshape(B, Cout, Ho, Wo)
+        # a constant input (the data batch under the stem) needs no gradient
+        need_gx = x.rec is not None or x.requires_grad
 
         def bwd(g):
-            g_flat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(
-                B * Ho * Wo, groups, Cout // groups)
-            gw = np.empty_like(w2)
-            gcols = np.empty_like(cols)
-            for gi in range(groups):
-                gw[gi] = g_flat[:, gi, :].T @ cols[:, gi, :]
-                gcols[:, gi, :] = g_flat[:, gi, :] @ w2[gi]
-            gcols = gcols.reshape(B, Ho, Wo, C, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-            gxp = np.zeros_like(xp)
-            for u in range(kh):
-                for v in range(kw):
-                    tap(gxp, u, v)[...] += gcols[:, :, :, :, u, v]
-            gx = crop(gxp) if padding else gxp
+            g_g = np.zeros((groups, N, Og), dtype=dtype)
+            g_g.reshape(groups, B, Hq, Wq, Og)[:, :, :Ho, :Wo] = (
+                g.reshape(B, groups, Og, Ho, Wo).transpose(1, 0, 3, 4, 2))
+            gwt = np.empty_like(wt)
+            gph = np.zeros_like(phases) if need_gx else None
+            for u, v, a, b, shift in taps:
+                n = N - shift
+                for gi in range(groups):
+                    np.matmul(phases[a, b, gi, shift:].T, g_g[gi, :n], out=gwt[u, v, gi])
+                    if gph is not None:
+                        _addmm(gph[a, b, gi, shift:], g_g[gi, :n], wt[u, v, gi].T)
+            gw = gwt.transpose(2, 4, 3, 0, 1).reshape(w.shape).astype(wv.dtype, copy=False)
+            gx = None if gph is None else _from_phases(gph, spans, xv.shape, Hq, Wq,
+                                                         xv.dtype)
             if bias is None:
-                return gx, gw.reshape(w.shape)
-            return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
+                return gx, gw
+            return gx, gw, g.sum(axis=(0, 2, 3))
 
     if bias is not None:
         out = out + bias.values[None, :, None, None]

@@ -171,7 +171,7 @@ class ComputationRecord:
     Creation order is topological order; :func:`backward` traverses it in
     exact reverse. A record is single-use: a second backward raises
     :class:`RecordError`. Its nodes stay until the next record's backward
-    finishes, which clears them.
+    finishes, or :func:`release_last_tape` runs, which clears them.
     """
 
     def __init__(self):
@@ -255,9 +255,21 @@ def backward(loss: Tensor) -> None:
             if t.rec is rec or t.requires_grad:
                 t.grad = p if t.grad is None else t.grad + p
     rec._release_leaves()
+    release_last_tape()
+    _LAST_BACKWARD = rec
+
+
+def release_last_tape() -> None:
+    """Clear the nodes of the record whose backward ran last, freeing its tape.
+
+    :func:`backward` does this for the previous record each time it runs; a
+    loop that stops running backward (``training.train`` when it returns)
+    calls it so that its last step's tape is not kept alive.
+    """
+    global _LAST_BACKWARD
     if _LAST_BACKWARD is not None:
         _LAST_BACKWARD.nodes.clear()
-    _LAST_BACKWARD = rec
+        _LAST_BACKWARD = None
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -449,11 +461,3 @@ def transpose(a: Tensor, perm) -> Tensor:
         return (np.ascontiguousarray(np.transpose(g, inv)),)
 
     return apply_primitive((a,), out, bwd)
-
-
-def zeros(shape, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or DEFAULT_DTYPE))
-
-
-def ones(shape, dtype=None) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype or DEFAULT_DTYPE))

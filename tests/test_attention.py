@@ -97,7 +97,7 @@ class TestTxa:
         p.cla_kernel.values[...] = 0.0
         p.p_t.values[...] = 0.8
         p.p_c.values[...] = 0.5
-        out = t_xa(tz.zeros((2, 1, 2, 3, 3), dtype=np.float64), p)
+        out = t_xa(Tensor(np.zeros((2, 1, 2, 3, 3), dtype=np.float64)), p)
         np.testing.assert_allclose(out.values, 0.25 * 0.8 * 0.5, rtol=1e-12)
 
     def test_shape_preserved(self, rng):
@@ -174,7 +174,7 @@ class TestTna:
         p = f64_params(2, 2, rng).tna
         p.mb_squeeze_b.values[...] = 0.0
         p.mb_expand_b.values[...] = 0.0
-        out = t_na(tz.zeros((2, 1, 2, 4, 4), dtype=np.float64), p)
+        out = t_na(Tensor(np.zeros((2, 1, 2, 4, 4), dtype=np.float64)), p)
         np.testing.assert_array_equal(out.values, 0.0)
 
     def test_matches_composition_oracle(self, rng):
@@ -192,7 +192,7 @@ class TestDta:
 
     def test_zero_spikes_give_zero_output(self, rng):
         p = f64_params(2, 2, rng)
-        out = dta(tz.zeros((2, 1, 2, 4, 4), dtype=np.float64), p.txa, p.tna, True, True)
+        out = dta(Tensor(np.zeros((2, 1, 2, 4, 4), dtype=np.float64)), p.txa, p.tna, True, True)
         np.testing.assert_array_equal(out.values, 0.0)
 
     def test_gate_bounds_on_random_probes(self, rng):

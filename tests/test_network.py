@@ -3,15 +3,16 @@
 import json
 import os
 import struct
+import zlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from dtasnn import tensor as tz
 from dtasnn.neuron import LifParams
-from dtasnn.network import (CHECKPOINT_MAGIC, CheckpointError, NetworkSpec, build,
-                            load_checkpoint, save_checkpoint, spec_mismatch)
+from dtasnn.network import (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1, CheckpointError,
+                            NetworkSpec, build, load_checkpoint, save_checkpoint,
+                            spec_mismatch)
 from dtasnn.ops import conv2d
 from dtasnn.tensor import ShapeError, Tensor
 
@@ -166,7 +167,8 @@ class TestTimeFolding:
         st.running_mean = rng.standard_normal(3).astype(np.float32)
         st.running_var = (rng.random(3).astype(np.float32) + 0.5)
         st.batches_tracked = 1
-        gamma, beta = tz.ones(3), tz.zeros(3)
+        gamma = Tensor(np.ones(3, dtype=np.float32))
+        beta = Tensor(np.zeros(3, dtype=np.float32))
         x = rng.standard_normal((5, 2, 3, 4, 4)).astype(np.float32)
         folded = batch_norm_2d(Tensor(x.reshape(10, 3, 4, 4)), gamma, beta, st,
                                training=False).values.reshape(5, 2, 3, 4, 4)
@@ -292,9 +294,49 @@ class TestCheckpoint:
         del spec["stages"]
         payload = json.dumps(spec).encode("utf-8")
         path = tmp_path / "net.dtasnn"
-        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload)
+        blob = CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload
+        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
         with pytest.raises(CheckpointError, match="stages"):
             load_checkpoint(path)
+
+    def test_every_single_bit_flip_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "net.dtasnn"
+        save_checkpoint(path, build(TINY, seed=0))
+        blob = path.read_bytes()
+        assert blob[:8] == CHECKPOINT_MAGIC
+        flipped = tmp_path / "flip.dtasnn"
+        escaped = {}
+        for n in range(len(blob)):
+            for bit in (0, 7):
+                bad = bytearray(blob)
+                bad[n] ^= 1 << bit
+                flipped.write_bytes(bytes(bad))
+                try:
+                    load_checkpoint(flipped)
+                except CheckpointError:
+                    continue
+                except Exception as exc:
+                    escaped[(n, bit)] = type(exc).__name__
+                else:
+                    escaped[(n, bit)] = "no error"
+        assert not escaped, (f"{len(escaped)} of {2 * len(blob)} flips escaped: "
+                             f"{Counter(escaped.values())}")
+
+    def test_v1_checkpoint_without_trailer_loads_bitwise(self, rng, tmp_path):
+        net = build(MINI, seed=3)
+        net.forward(Tensor(rng.standard_normal((4, 2, 3, 8, 8)).astype(np.float32)),
+                    training=True)
+        payload = json.dumps(net.spec.to_dict(), sort_keys=True).encode("utf-8")
+        parts = [CHECKPOINT_MAGIC_V1, struct.pack("<I", len(payload)), payload]
+        for arr in net.state_arrays():
+            flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
+            parts += [struct.pack("<I", flat.size), flat.tobytes()]
+        path = tmp_path / "v1.dtasnn"
+        path.write_bytes(b"".join(parts))
+        loaded = load_checkpoint(path)
+        assert spec_mismatch(loaded.spec, net.spec) is None
+        for a, b in zip(net.state_arrays(), loaded.state_arrays()):
+            assert a.tobytes() == b.tobytes()
 
     def test_spec_mismatch_names_field(self):
         from dataclasses import replace

@@ -49,7 +49,7 @@ class TestLifStep:
     def test_silent_without_input(self, params):
         u, spikes = lif_forward(np.zeros((5, 3), dtype=np.float32), params)
         assert u.max() == 0.0 and spikes.max() == 0.0
-        assert lif_unroll(tz.zeros((5, 3)), params).values.max() == 0.0
+        assert lif_unroll(Tensor(np.zeros((5, 3), dtype=np.float32)), params).values.max() == 0.0
 
     def test_threshold_boundary_fires_and_resets(self, params):
         u, spikes = lif_forward(np.array([[params.v_th], [0.3]], dtype=np.float32), params)
@@ -114,7 +114,7 @@ class TestUnroll:
 
     def test_empty_sequence_rejected(self, params):
         with pytest.raises(ShapeError):
-            lif_unroll(tz.zeros((0, 3)), params)
+            lif_unroll(Tensor(np.zeros((0, 3), dtype=np.float32)), params)
 
     def test_subthreshold_linearity(self, rng):
         # with no spikes, u(t) = sum_k tau^(t-k) c(k) exactly

@@ -24,6 +24,17 @@ def engine_grads(f, params):
     return [p.grad for p in params]
 
 
+def taped_conv2d(xv, wv, bv, g, kwargs):
+    """Forward values and (gx, gw[, gb]) of conv2d for upstream gradient g."""
+    x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
+    b = None if bv is None else Tensor(bv, requires_grad=True)
+    params = [x, w] if b is None else [x, w, b]
+    with ComputationRecord():
+        out = conv2d(x, w, b, **kwargs)
+        backward(tz.tsum(out * Tensor(g)))
+    return out.values, [p.grad for p in params]
+
+
 class TestConv2dForward:
     def test_1x1_unit_kernel_is_identity(self, rng):
         x = Tensor(rng.standard_normal((2, 1, 5, 5)).astype(np.float32))
@@ -133,17 +144,6 @@ class TestDepthwise:
     ]
 
     @staticmethod
-    def run(xv, wv, bv, g, kwargs):
-        """Forward values and (gx, gw[, gb]) of conv2d for upstream gradient g."""
-        x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
-        b = None if bv is None else Tensor(bv, requires_grad=True)
-        params = [x, w] if b is None else [x, w, b]
-        with ComputationRecord():
-            out = conv2d(x, w, b, groups=xv.shape[1], **kwargs)
-            backward(tz.tsum(out * Tensor(g)))
-        return out.values, [p.grad for p in params]
-
-    @staticmethod
     def inputs(rng, shape, k, dtype, with_bias):
         C = shape[1]
         xv = rng.standard_normal(shape).astype(dtype)
@@ -159,7 +159,7 @@ class TestDepthwise:
         full = {"stride": 1, "padding": 0, "dilation": 1, "groups": shape[1], **kwargs}
         want = conv2d_loop(xv, wv, bv, **full)
         g = rng.standard_normal(want.shape).astype(dtype)
-        out, grads = self.run(xv, wv, bv, g, kwargs)
+        out, grads = taped_conv2d(xv, wv, bv, g, {"groups": shape[1], **kwargs})
         want_gx, want_gw = conv2d_loop_grads(xv, wv, g, **full)
         tol = dict(rtol=1e-12, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-5)
         assert out.dtype == dtype and all(p.dtype == dtype for p in grads)
@@ -178,9 +178,82 @@ class TestDepthwise:
         out_shape = conv2d(Tensor(xv), Tensor(wv), groups=shape[1], **kwargs).shape
         g = rng.standard_normal(out_shape).astype(dtype)
         want_out, want_gx = depthwise_tap_loop(xv, wv, g, bv, **kwargs)
-        out, grads = self.run(xv, wv, bv, g, kwargs)
+        out, grads = taped_conv2d(xv, wv, bv, g, {"groups": shape[1], **kwargs})
         assert out.tobytes() == want_out.tobytes()
         assert grads[0].tobytes() == want_gx.tobytes()
+
+
+class TestGeneral:
+    """The implicit-GEMM path: every conv2d that is neither point-wise nor
+    depth-wise."""
+
+    # (input shape, weight shape, geometry)
+    GEOMETRIES = [
+        # padded extent 9: the stride-2 phases have 5 and 4 rows
+        ((2, 3, 7, 7), (4, 3, 3, 3), dict(stride=2, padding=1)),
+        ((2, 3, 8, 7), (2, 3, 3, 3), dict(stride=3, padding=1)),
+        # every tap lands in phase (0, 0), shifted by whole phase rows
+        ((1, 2, 9, 8), (3, 2, 3, 3), dict(stride=2, padding=2, dilation=2)),
+        # padding larger than the kernel extent: border outputs read zeros only
+        ((2, 2, 3, 4), (3, 2, 3, 3), dict(padding=4)),
+        ((2, 3, 5, 9), (2, 3, 3, 2), dict(padding=1)),
+        ((2, 4, 7, 6), (6, 2, 3, 3), dict(stride=2, padding=1, groups=2)),
+        ((2, 4, 5, 5), (4, 2, 1, 1), dict(stride=2, groups=2)),
+        # a 1x1 output
+        ((2, 3, 3, 3), (2, 3, 3, 3), {}),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("shape,wshape,kwargs", GEOMETRIES)
+    def test_matches_loop_oracle(self, rng, shape, wshape, kwargs, dtype, with_bias):
+        xv = rng.standard_normal(shape).astype(dtype)
+        wv = rng.standard_normal(wshape).astype(dtype)
+        bv = rng.standard_normal(wshape[0]).astype(dtype) if with_bias else None
+        full = {"stride": 1, "padding": 0, "dilation": 1, "groups": 1, **kwargs}
+        want = conv2d_loop(xv, wv, bv, **full)
+        g = rng.standard_normal(want.shape).astype(dtype)
+        out, grads = taped_conv2d(xv, wv, bv, g, kwargs)
+        want_gx, want_gw = conv2d_loop_grads(xv, wv, g, **full)
+        tol = dict(rtol=1e-12, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-5)
+        assert out.dtype == dtype and all(p.dtype == dtype for p in grads)
+        np.testing.assert_allclose(out, want, **tol)
+        np.testing.assert_allclose(grads[0], want_gx, **tol)
+        np.testing.assert_allclose(grads[1], want_gw, **tol)
+        if with_bias:
+            np.testing.assert_allclose(grads[2], g.sum(axis=(0, 2, 3)), **tol)
+
+    # the last geometry's columns are the unpadded image itself, the same size
+    @pytest.mark.parametrize("shape,wshape,kwargs", GEOMETRIES[:-1])
+    def test_node_keeps_no_column_matrix(self, rng, shape, wshape, kwargs):
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = Tensor(rng.standard_normal(wshape), requires_grad=True)
+        with ComputationRecord() as rec:
+            out = conv2d(x, w, **kwargs)
+            (node,) = rec.nodes
+        B, C = shape[:2]
+        kh, kw = wshape[2:]
+        columns = B * out.shape[2] * out.shape[3] * C * kh * kw
+        held = [c.cell_contents for c in node.backward_fn.__closure__]
+        sizes = [a.size for a in held if isinstance(a, np.ndarray)]
+        assert sizes and columns not in sizes
+
+    @pytest.mark.parametrize("shape,wshape,kwargs", GEOMETRIES)
+    def test_constant_input_gets_no_partial(self, rng, shape, wshape, kwargs):
+        xv = rng.standard_normal(shape)
+        wv = rng.standard_normal(wshape)
+        bv = rng.standard_normal(wshape[0])
+        out_shape = conv2d(Tensor(xv), Tensor(wv), **kwargs).shape
+        g = rng.standard_normal(out_shape)
+        _, tracked = taped_conv2d(xv, wv, bv, g, kwargs)
+        x = Tensor(xv)
+        w, b = Tensor(wv, requires_grad=True), Tensor(bv, requires_grad=True)
+        with ComputationRecord() as rec:
+            conv2d(x, w, b, **kwargs)
+            partials = rec.nodes[0].backward_fn(g)
+        assert partials[0] is None
+        assert partials[1].tobytes() == tracked[1].tobytes()
+        assert partials[2].tobytes() == tracked[2].tobytes()
 
 
 class TestConv2dErrors:
@@ -272,26 +345,29 @@ class TestBatchNorm:
         x -= x.mean(axis=(0, 2, 3), keepdims=True)
         x /= x.std(axis=(0, 2, 3), keepdims=True)
         st = BatchNormState(2)
-        out = batch_norm_2d(Tensor(x), tz.ones(2), tz.zeros(2), st, training=True)
+        gamma, beta = Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32))
+        out = batch_norm_2d(Tensor(x), gamma, beta, st, training=True)
         assert np.abs(out.values - x).max() <= 1e-4
 
     def test_zero_variance_gives_beta(self):
         x = Tensor(np.full((3, 2, 2, 2), 7.0, dtype=np.float32))
         beta = Tensor(np.full(2, 5.0, dtype=np.float32))
         st = BatchNormState(2)
-        out = batch_norm_2d(x, tz.ones(2), beta, st, training=True)
+        gamma = Tensor(np.ones(2, dtype=np.float32))
+        out = batch_norm_2d(x, gamma, beta, st, training=True)
         np.testing.assert_allclose(out.values, 5.0, atol=1e-3)
 
     def test_eval_before_stats_rejected(self):
         st = BatchNormState(2)
+        gamma, beta = Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32))
         with pytest.raises(MissingStatisticsError, match="statistics"):
-            batch_norm_2d(Tensor(np.zeros((1, 2, 2, 2))), tz.ones(2), tz.zeros(2),
-                          st, training=False)
+            batch_norm_2d(Tensor(np.zeros((1, 2, 2, 2))), gamma, beta, st, training=False)
 
     def test_running_stats_momentum(self, rng):
         x = rng.standard_normal((16, 2, 3, 3))
         st = BatchNormState(2, dtype=np.float64)
-        batch_norm_2d(Tensor(x), tz.ones(2), tz.zeros(2), st, training=True)
+        gamma, beta = Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32))
+        batch_norm_2d(Tensor(x), gamma, beta, st, training=True)
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
         np.testing.assert_allclose(st.running_mean, 0.1 * mu, rtol=1e-6)
@@ -328,10 +404,11 @@ class TestBatchNorm:
 
     def test_eval_uses_stored_stats(self, rng):
         st = BatchNormState(2, dtype=np.float64)
-        batch_norm_2d(Tensor(rng.standard_normal((8, 2, 3, 3))), tz.ones(2),
-                      tz.zeros(2), st, training=True)
+        gamma, beta = Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32))
+        batch_norm_2d(Tensor(rng.standard_normal((8, 2, 3, 3))), gamma, beta, st,
+                      training=True)
         x = rng.standard_normal((4, 2, 3, 3))
-        out = batch_norm_2d(Tensor(x), tz.ones(2), tz.zeros(2), st, training=False)
+        out = batch_norm_2d(Tensor(x), gamma, beta, st, training=False)
         want = (x - st.running_mean[None, :, None, None]) / np.sqrt(
             st.running_var[None, :, None, None] + 1e-5)
         np.testing.assert_allclose(out.values, want, rtol=1e-5)

@@ -23,7 +23,7 @@ class TestElementwise:
 
     def test_add_zero_identity(self, rng):
         x = rng.standard_normal((3, 4)).astype(np.float32)
-        out = tz.add(Tensor(x), tz.zeros((3, 4)))
+        out = tz.add(Tensor(x), Tensor(np.zeros((3, 4), dtype=np.float32)))
         np.testing.assert_array_equal(out.values, x)
 
     def test_incompatible_shapes_named_in_error(self):

@@ -1,6 +1,8 @@
 """Loss, optimizer, schedule, evaluation, and end-to-end loop behavior."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -233,6 +235,32 @@ class TestTrainLoop:
         assert len(kept) == 6 and all(kept)
         for a, b in zip(freed, held):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("abort", [False, True])
+    def test_last_step_tape_freed_when_train_returns(self, monkeypatch, abort):
+        net = build(TINY_NET, seed=4)
+        taped = []
+
+        def backward_watching_tape(loss):
+            backward(loss)
+            taped[:] = [weakref.ref(n.out.values) for n in loss.rec.nodes]
+            if abort:  # a non-finite gradient: sgd_step raises NumericsError
+                net.head.weight.grad[0, 0] = np.inf
+
+        monkeypatch.setattr(training, "backward", backward_watching_tape)
+        cfg = TrainConfig(batch_size=4, epochs=1, lr0=0.05, seed=1)
+        # with the cyclic GC off, only the engine's own freeing releases a tape
+        gc.disable()
+        try:
+            if abort:
+                with pytest.raises(NumericsError):
+                    train(net, gen_synthetic(TINY_DATA, 8), [], cfg)
+            else:
+                train(net, gen_synthetic(TINY_DATA, 8), gen_synthetic(TINY_DATA, 4), cfg)
+            alive = [r for r in taped if r() is not None]
+        finally:
+            gc.enable()
+        assert taped and not alive, f"{len(alive)} of {len(taped)} tape arrays alive"
 
     def test_nonfinite_loss_aborts_keeping_last_checkpoint(self, tmp_path):
         net = build(TINY_NET, seed=0)
