@@ -127,7 +127,6 @@ class RunConfig:
 
 _PARSERS = {int: int, float: float, str: str, bool: _parse_bool, tuple: _parse_stages}
 
-SCHEMA = {f.name: f.type for f in fields(RunConfig)}
 _FIELD_TYPES = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
 
 

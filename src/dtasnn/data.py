@@ -9,12 +9,14 @@ steps (direct coding) before entering the network.
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+
+from . import container
 
 # community-standard CIFAR-10 channel statistics
 CIFAR10_MEAN = np.array([0.4914, 0.4822, 0.4465], dtype=np.float32)
@@ -25,8 +27,6 @@ CIFAR10_FILE_BYTES = 10000 * CIFAR10_RECORD_BYTES
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-
-SYNTH_MAGIC = b"DTASNN01"
 
 
 class FormatError(ValueError):
@@ -63,6 +63,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("time_steps", "channels", "height", "width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.classes}")
         if not 0.0 <= self.rate_off < self.rate_on <= 1.0:
@@ -223,70 +226,33 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# synthetic sets reuse the checkpoint container layout for CI fixtures
+# synthetic fixtures: the spec plus a sample count as the container header,
+# then one run of all inputs and one of all labels
 
 
 def save_synthetic(path, spec: SynthSpec, samples: list[Sample]) -> None:
-    header = {
-        "classes": spec.classes, "time_steps": spec.time_steps,
-        "channels": spec.channels, "height": spec.height, "width": spec.width,
-        "rate_on": spec.rate_on, "rate_off": spec.rate_off,
-        "temporal_signature": [list(s) for s in spec.temporal_signature],
-        "seed": spec.seed, "count": len(samples),
-    }
-    payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    inputs = np.stack([s.input for s in samples]).astype("<f4")
-    labels = np.array([s.label for s in samples], dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(SYNTH_MAGIC)
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
-        for arr in (inputs.reshape(-1), labels):
-            fh.write(struct.pack("<I", arr.size))
-            fh.write(arr.tobytes())
+    container.write(path, {**asdict(spec), "count": len(samples)},
+                    (np.stack([s.input for s in samples]),
+                     np.array([s.label for s in samples])))
 
 
 def load_synthetic(path) -> tuple[SynthSpec, list[Sample]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != SYNTH_MAGIC:
-        raise FormatError(f"bad container magic {blob[:8]!r}")
-    off = 8
-
-    def take(nbytes, what) -> int:
-        """Offset of the next *nbytes*, which must lie inside the file."""
-        nonlocal off
-        if off + nbytes > len(blob):
-            raise FormatError(f"{path}: truncated in {what}: {nbytes} bytes "
-                              f"needed at offset {off}, file has {len(blob)}")
-        off += nbytes
-        return off - nbytes
-
-    (jlen,) = struct.unpack_from("<I", blob, take(4, "header length"))
-    start = take(jlen, "header")
+    header, runs = container.read(path, FormatError)
     try:
-        header = json.loads(blob[start:off].decode("utf-8"))
-        spec = SynthSpec(
-            classes=header["classes"], time_steps=header["time_steps"],
-            channels=header["channels"], height=header["height"], width=header["width"],
-            rate_on=header["rate_on"], rate_off=header["rate_off"],
-            temporal_signature=tuple(tuple(s) for s in header["temporal_signature"]),
-            seed=header["seed"])
+        values = {f.name: header[f.name] for f in fields(SynthSpec)}
+        values["temporal_signature"] = tuple(tuple(s) for s in values["temporal_signature"])
+        spec = SynthSpec(**values)
         count = int(header["count"])
     except KeyError as exc:
         raise FormatError(f"{path}: header is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid header: {exc}") from exc
-
-    def read_run(expected_size):
-        (n,) = struct.unpack_from("<I", blob, take(4, "run length"))
-        if n != expected_size:
-            raise FormatError(f"{path}: run of {n} values, expected {expected_size}")
-        return np.frombuffer(blob, dtype="<f4", count=n, offset=take(4 * n, "run"))
-
     shape = (count, spec.time_steps, spec.channels, spec.height, spec.width)
-    inputs = read_run(int(np.prod(shape))).reshape(shape).astype(np.float32)
-    labels = read_run(count).astype(np.int64)
+    got, sizes = [r.size for r in runs], [math.prod(shape), count]
+    if got != sizes:
+        raise FormatError(f"{path}: runs of {got} values, expected {sizes}")
+    inputs = runs[0].reshape(shape).astype(np.float32)
+    labels = runs[1].astype(np.int64)
     samples = [Sample(input=np.ascontiguousarray(inputs[i]), label=int(labels[i]))
                for i in range(count)]
     return spec, samples

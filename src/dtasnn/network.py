@@ -13,23 +13,16 @@ per-sample operations (batch norm is *defined* over the folded T*B batch).
 
 from __future__ import annotations
 
-import json
-import os
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import container
 from . import tensor as tz
 from .attention import TnaParams, TxaParams, dta, named_tensors
 from .neuron import LifParams, lif_unroll
 from .ops import BatchNormState, batch_norm_2d, conv2d, linear
 from .tensor import ShapeError, Tensor
-
-# DTASNN02 appends a CRC32 trailer; DTASNN01 files (no trailer) still load
-CHECKPOINT_MAGIC = b"DTASNN02"
-CHECKPOINT_MAGIC_V1 = b"DTASNN01"
 
 
 class CheckpointError(ValueError):
@@ -68,22 +61,6 @@ class NetworkSpec:
         if len(self.dta_enabled) != 2:
             raise ValueError("dta_enabled must be a (enable_txa, enable_tna) pair")
 
-    def to_dict(self) -> dict:
-        return {
-            "time_steps": self.time_steps,
-            "in_channels": self.in_channels,
-            "stem_channels": self.stem_channels,
-            "stages": [list(s) for s in self.stages],
-            "num_classes": self.num_classes,
-            "dta_enabled": list(self.dta_enabled),
-            "lif": {
-                "tau": self.lif.tau,
-                "v_th": self.lif.v_th,
-                "alpha": self.lif.alpha,
-                "reset_detached": self.lif.reset_detached,
-            },
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
         lif = d.get("lif", {})
@@ -102,7 +79,7 @@ class NetworkSpec:
 
 def spec_mismatch(a: NetworkSpec, b: NetworkSpec) -> str | None:
     """Name of the first differing field, or None when compatible."""
-    da, db = a.to_dict(), b.to_dict()
+    da, db = asdict(a), asdict(b)
     for key in da:
         if key == "lif":
             for sub in da["lif"]:
@@ -316,93 +293,33 @@ def build(spec: NetworkSpec, seed: int) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: magic, length-prefixed JSON spec, tensors as
-# little-endian float32 runs with u32 element-count prefixes, then the
-# little-endian u32 CRC32 of every preceding byte
+# checkpoints: the spec as the container header, then one run per state array
 
 
 def save_checkpoint(path, net: Network) -> None:
-    """Write *net* to *path*, replacing any checkpoint there only once complete.
-
-    The bytes go to ``<path>.tmp`` in the same directory, which then replaces
-    *path*, so a write that fails or is killed midway leaves the previous
-    checkpoint as it was.
-    """
-    payload = json.dumps(net.spec.to_dict(), sort_keys=True).encode("utf-8")
-    tmp = os.fspath(path) + ".tmp"
-    fh = open(tmp, "wb")
-    crc = 0
-
-    def write(chunk: bytes) -> None:
-        nonlocal crc
-        crc = zlib.crc32(chunk, crc)
-        fh.write(chunk)
-
-    try:
-        with fh:
-            write(CHECKPOINT_MAGIC)
-            write(struct.pack("<I", len(payload)))
-            write(payload)
-            for arr in net.state_arrays():
-                flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
-                write(struct.pack("<I", flat.size))
-                write(flat.tobytes())
-            fh.write(struct.pack("<I", crc))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    """Write *net* to *path*, replacing any checkpoint there only once complete."""
+    container.write(path, asdict(net.spec), net.state_arrays())
 
 
 def load_checkpoint(path) -> Network:
     """Read a ``DTASNN02`` checkpoint, or a ``DTASNN01`` one (no CRC trailer)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] == CHECKPOINT_MAGIC:
-        if len(blob) < 12:
-            raise CheckpointError(f"checkpoint truncated: {len(blob)} bytes, no CRC trailer")
-        (stored,) = struct.unpack_from("<I", blob, len(blob) - 4)
-        blob = blob[:-4]
-        crc = zlib.crc32(blob)
-        if crc != stored:
-            raise CheckpointError(f"checkpoint CRC32 mismatch: stored {stored:#010x}, "
-                                  f"contents {crc:#010x}")
-    elif blob[:8] != CHECKPOINT_MAGIC_V1:
-        raise CheckpointError(f"bad checkpoint magic {blob[:8]!r}")
-    off = 8
-
-    def take(nbytes, what) -> int:
-        """Offset of the next *nbytes*, which must lie inside the file."""
-        nonlocal off
-        if off + nbytes > len(blob):
-            raise CheckpointError(f"checkpoint truncated in {what}: {nbytes} bytes "
-                                  f"needed at offset {off}, file has {len(blob)}")
-        off += nbytes
-        return off - nbytes
-
-    (jlen,) = struct.unpack_from("<I", blob, take(4, "spec length"))
-    start = take(jlen, "spec")
+    header, runs = container.read(path, CheckpointError)
     try:
-        spec = NetworkSpec.from_dict(json.loads(blob[start:off].decode("utf-8")))
+        spec = NetworkSpec.from_dict(header)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint spec is missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint spec: {exc}") from exc
     net = build(spec, seed=0)
-
-    def read_run(expected_size):
-        (n,) = struct.unpack_from("<I", blob, take(4, "tensor length"))
-        if n != expected_size:
-            raise CheckpointError(f"tensor run of {n} elements, expected {expected_size}")
-        return np.frombuffer(blob, dtype="<f4", count=n, offset=take(4 * n, "tensor run"))
-
+    got, sizes = [r.size for r in runs], [a.size for a in net.state_arrays()]
+    if got != sizes:
+        raise CheckpointError(f"{path}: tensor runs of {got} elements, expected {sizes}")
+    it = iter(runs)
     for p in net.parameters():
-        p.values[...] = read_run(p.size).reshape(p.shape).astype(p.dtype)
+        p.values[...] = next(it).reshape(p.shape).astype(p.dtype)
     for bn in net.bn_layers():
         st = bn.state
-        st.running_mean[...] = read_run(st.running_mean.size).astype(st.dtype)
-        st.running_var[...] = read_run(st.running_var.size).astype(st.dtype)
-        st.batches_tracked = int(read_run(1)[0])
-    if off != len(blob):
-        raise CheckpointError(f"{len(blob) - off} trailing bytes in checkpoint")
+        st.running_mean[...] = next(it).astype(st.dtype)
+        st.running_var[...] = next(it).astype(st.dtype)
+        st.batches_tracked = int(next(it)[0])
     return net

@@ -37,6 +37,12 @@ class TestTrainCommand:
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
 
+    def test_zero_time_steps_exit_2(self, tmp_path, capsys):
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic.cfg")
+        code = main(["train", "--config", cfg, "--time_steps", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "time_steps" in capsys.readouterr().err
+
     def test_deterministic_flag_accepted(self, tmp_path):
         code, _ = run_fast_train(tmp_path, ["--deterministic", "--epochs", "1"])
         assert code == 0
@@ -115,6 +121,18 @@ class TestEvalCommand:
             codes.add(main(["eval", "--checkpoint", cut] + tiny))
         assert codes == {2}
 
+    def test_missing_checkpoint_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "none.dtasnn")
+        assert main(["eval", "--checkpoint", missing] + FAST) == 2
+        assert "none.dtasnn" in capsys.readouterr().err
+
+    def test_fixture_as_checkpoint_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "fixtures")
+        assert main(["synth-data", "--out", out] + FAST) == 0
+        fixture = os.path.join(out, "synthetic.dtasnn")
+        assert main(["eval", "--checkpoint", fixture] + FAST) == 2
+        assert "in_channels" in capsys.readouterr().err
+
     def test_spec_mismatch_names_field(self, tmp_path, capsys):
         _, out = run_fast_train(tmp_path, ["--epochs", "0"])
         ckpt = os.path.join(out, "checkpoint.dtasnn")
@@ -159,6 +177,12 @@ class TestSynthDataCommand:
         spec, samples = load_synthetic(os.path.join(out, "synthetic.dtasnn"))
         assert len(samples) == 10
         assert samples[0].input.shape == (4, 2, 5, 5)
+
+    def test_fixture_carries_the_current_magic(self, tmp_path, capsys):
+        out = str(tmp_path / "fixtures")
+        assert main(["synth-data", "--out", out, "--train_samples", "4"]) == 0
+        with open(os.path.join(out, "synthetic.dtasnn"), "rb") as fh:
+            assert fh.read(8) == b"DTASNN02"
 
 
 class TestAblateCommand:

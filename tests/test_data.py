@@ -1,12 +1,15 @@
 """Binary format loaders, synthetic generator statistics, coding, augmentation."""
 
 import json
+import os
 import struct
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from dtasnn import container
 from dtasnn.data import (CIFAR10_FILE_BYTES, CIFAR10_MEAN, CIFAR10_STD, FormatError,
                          SynthSpec, augment, direct_code, gen_synthetic,
                          load_cifar10_binary, load_idx, load_synthetic,
@@ -235,6 +238,43 @@ class TestSynthetic:
         path.write_bytes(b"DTASNN01" + struct.pack("<I", len(payload)) + payload)
         with pytest.raises(FormatError, match="time_steps"):
             load_synthetic(path)
+
+    @pytest.mark.parametrize("override, field", [
+        ({"time_steps": 0, "temporal_signature": []}, "time_steps"),
+        ({"height": -2, "width": -2}, "height"),
+    ])
+    def test_container_header_bad_geometry(self, tmp_path, override, field):
+        spec = SynthSpec(time_steps=2, channels=1, height=2, width=2)
+        samples = gen_synthetic(spec, 3)
+        path = tmp_path / "synth.dtasnn"
+        container.write(path, {**asdict(spec), "count": 3, **override},
+                        (np.stack([s.input for s in samples]), [s.label for s in samples]))
+        with pytest.raises(FormatError, match=field):
+            load_synthetic(path)
+
+    def test_failed_write_keeps_previous_fixture(self, tmp_path):
+        spec = SynthSpec(time_steps=2, channels=1, height=2, width=2)
+        path = tmp_path / "synth.dtasnn"
+        save_synthetic(path, spec, gen_synthetic(spec, 3))
+        before = path.read_bytes()
+        samples = gen_synthetic(spec, 3)
+        samples[-1].label = "x"  # the label run fails after the input run is written
+        with pytest.raises(ValueError, match="'x'"):
+            save_synthetic(path, spec, samples)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["synth.dtasnn"]
+
+    def test_v1_fixture_without_trailer_loads_bitwise(self, tmp_path):
+        spec = SynthSpec(seed=4)
+        samples = gen_synthetic(spec, 5)
+        path = tmp_path / "synth.dtasnn"
+        save_synthetic(path, spec, samples)
+        path.write_bytes(b"DTASNN01" + path.read_bytes()[8:-4])
+        spec2, loaded = load_synthetic(path)
+        assert spec2 == spec
+        for a, b in zip(samples, loaded):
+            assert a.input.tobytes() == b.input.tobytes()
+            assert a.label == b.label
 
     def test_container_bad_magic(self, tmp_path):
         path = tmp_path / "synth.dtasnn"

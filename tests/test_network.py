@@ -5,14 +5,16 @@ import os
 import struct
 import zlib
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from dtasnn.container import MAGIC as CHECKPOINT_MAGIC, MAGIC_V1 as CHECKPOINT_MAGIC_V1
+from dtasnn.data import FormatError, SynthSpec, gen_synthetic, load_synthetic, save_synthetic
 from dtasnn.neuron import LifParams
-from dtasnn.network import (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1, CheckpointError,
-                            NetworkSpec, build, load_checkpoint, save_checkpoint,
-                            spec_mismatch)
+from dtasnn.network import (CheckpointError, NetworkSpec, build, load_checkpoint,
+                            save_checkpoint, spec_mismatch)
 from dtasnn.ops import conv2d
 from dtasnn.tensor import ShapeError, Tensor
 
@@ -22,6 +24,23 @@ MINI = NetworkSpec(time_steps=4, in_channels=3, stem_channels=16,
                    stages=((16, 1, 1), (32, 1, 2)), num_classes=10)
 TINY = NetworkSpec(time_steps=2, in_channels=1, stem_channels=2, stages=((2, 1, 1),),
                    num_classes=2)
+
+
+def save_tiny_checkpoint(path):
+    save_checkpoint(path, build(TINY, seed=0))
+
+
+def save_tiny_fixture(path):
+    spec = SynthSpec(time_steps=2, channels=1, height=2, width=2)
+    save_synthetic(path, spec, gen_synthetic(spec, 3))
+
+
+# both kinds of file the binary container holds, with the loader and the one
+# exception class it may raise
+CONTAINERS = pytest.mark.parametrize("save, load, error", [
+    pytest.param(save_tiny_checkpoint, load_checkpoint, CheckpointError, id="checkpoint"),
+    pytest.param(save_tiny_fixture, load_synthetic, FormatError, id="fixture"),
+])
 
 
 def mini_parameter_count():
@@ -262,13 +281,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
-    def test_truncation_rejected(self, tmp_path):
+    @CONTAINERS
+    def test_truncation_rejected(self, tmp_path, save, load, error):
         path = tmp_path / "net.dtasnn"
-        save_checkpoint(path, build(MINI, seed=0))
+        save(path)
         blob = path.read_bytes()
         path.write_bytes(blob + b"\x00\x00\x00\x00")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        with pytest.raises(error):
+            load(path)
 
     def test_truncation_at_every_offset_raises_checkpoint_error(self, tmp_path):
         path = tmp_path / "net.dtasnn"
@@ -290,7 +310,7 @@ class TestCheckpoint:
                              f"{Counter(escaped.values())}")
 
     def test_spec_missing_field_names_it(self, tmp_path):
-        spec = TINY.to_dict()
+        spec = asdict(TINY)
         del spec["stages"]
         payload = json.dumps(spec).encode("utf-8")
         path = tmp_path / "net.dtasnn"
@@ -299,9 +319,11 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="stages"):
             load_checkpoint(path)
 
-    def test_every_single_bit_flip_raises_checkpoint_error(self, tmp_path):
+    @CONTAINERS
+    def test_every_single_bit_flip_raises_checkpoint_error(self, tmp_path, save, load,
+                                                           error):
         path = tmp_path / "net.dtasnn"
-        save_checkpoint(path, build(TINY, seed=0))
+        save(path)
         blob = path.read_bytes()
         assert blob[:8] == CHECKPOINT_MAGIC
         flipped = tmp_path / "flip.dtasnn"
@@ -312,8 +334,8 @@ class TestCheckpoint:
                 bad[n] ^= 1 << bit
                 flipped.write_bytes(bytes(bad))
                 try:
-                    load_checkpoint(flipped)
-                except CheckpointError:
+                    load(flipped)
+                except error:
                     continue
                 except Exception as exc:
                     escaped[(n, bit)] = type(exc).__name__
@@ -326,7 +348,7 @@ class TestCheckpoint:
         net = build(MINI, seed=3)
         net.forward(Tensor(rng.standard_normal((4, 2, 3, 8, 8)).astype(np.float32)),
                     training=True)
-        payload = json.dumps(net.spec.to_dict(), sort_keys=True).encode("utf-8")
+        payload = json.dumps(asdict(net.spec), sort_keys=True).encode("utf-8")
         parts = [CHECKPOINT_MAGIC_V1, struct.pack("<I", len(payload)), payload]
         for arr in net.state_arrays():
             flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
@@ -337,6 +359,33 @@ class TestCheckpoint:
         assert spec_mismatch(loaded.spec, net.spec) is None
         for a, b in zip(net.state_arrays(), loaded.state_arrays()):
             assert a.tobytes() == b.tobytes()
+
+    def test_v2_layout_is_byte_exact(self, tmp_path):
+        net = build(TINY, seed=0)
+        payload = (b'{"dta_enabled": [true, true], "in_channels": 1, "lif": {"alpha": 1.0, '
+                   b'"reset_detached": false, "tau": 0.5, "v_th": 1.0}, "num_classes": 2, '
+                   b'"stages": [[2, 1, 1]], "stem_channels": 2, "time_steps": 2}')
+        parts = [b"DTASNN02", struct.pack("<I", len(payload)), payload]
+        for arr in net.state_arrays():
+            flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
+            parts += [struct.pack("<I", flat.size), flat.tobytes()]
+        want = b"".join(parts)
+        want += struct.pack("<I", zlib.crc32(want))
+        path = tmp_path / "net.dtasnn"
+        save_checkpoint(path, net)
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("save, load, error, field", [
+        pytest.param(save_tiny_fixture, load_checkpoint, CheckpointError, "in_channels",
+                     id="fixture-as-checkpoint"),
+        pytest.param(save_tiny_checkpoint, load_synthetic, FormatError, "classes",
+                     id="checkpoint-as-fixture"),
+    ])
+    def test_other_kind_names_missing_field(self, tmp_path, save, load, error, field):
+        path = tmp_path / "file.dtasnn"
+        save(path)
+        with pytest.raises(error, match=field):
+            load(path)
 
     def test_spec_mismatch_names_field(self):
         from dataclasses import replace
