@@ -26,11 +26,17 @@ from . import tensor as tz
 from .ops import conv1d, conv2d, linear
 from .tensor import ShapeError, Tensor
 
+# cross-attention 1-D kernel length, along time and along channels
+K_TXA = 3
+# the large-kernel-attention decomposition of the T-NA local path (Guo et al.,
+# "Visual Attention Network", 2022): depth-wise K_DW x K_DW, then depth-wise
+# K_DDW x K_DDW with dilation DILATION
+K_DW, K_DDW, DILATION = 5, 7, 3
+
 
 def named_tensors(params) -> list[tuple[str, Tensor]]:
     """The learnable tensors of a parameter dataclass, named by field, in field order."""
-    return [(f.name, getattr(params, f.name)) for f in fields(params)
-            if isinstance(getattr(params, f.name), Tensor)]
+    return [(f.name, getattr(params, f.name)) for f in fields(params)]
 
 
 def _uniform_fan_in(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> Tensor:
@@ -46,19 +52,18 @@ class TxaParams:
     scale each. Scales start at zero so the branch begins as an identity.
     """
 
-    tla_kernel: Tensor  # (C, C, k_t), slides along T
-    cla_kernel: Tensor  # (T, T, k_c), slides along C
+    tla_kernel: Tensor  # (C, C, K_TXA), slides along T
+    cla_kernel: Tensor  # (T, T, K_TXA), slides along C
     p_t: Tensor
     p_c: Tensor
 
     @classmethod
     def init(cls, time_steps: int, channels: int, rng: np.random.Generator,
-             k_t: int = 3, k_c: int = 3, dtype=np.float32) -> "TxaParams":
-        if k_t % 2 == 0 or k_c % 2 == 0:
-            raise ValueError("cross-attention kernel sizes must be odd")
+             dtype=np.float32) -> "TxaParams":
+        k = K_TXA
         return cls(
-            tla_kernel=_uniform_fan_in(rng, (channels, channels, k_t), channels * k_t, dtype),
-            cla_kernel=_uniform_fan_in(rng, (time_steps, time_steps, k_c), time_steps * k_c, dtype),
+            tla_kernel=_uniform_fan_in(rng, (channels, channels, k), channels * k, dtype),
+            cla_kernel=_uniform_fan_in(rng, (time_steps, time_steps, k), time_steps * k, dtype),
             p_t=Tensor(np.zeros(1), requires_grad=True, dtype=dtype),
             p_c=Tensor(np.zeros(1), requires_grad=True, dtype=dtype),
         )
@@ -79,37 +84,32 @@ class TnaParams:
     """
 
     encode: Tensor       # (TC, TC, 1, 1)
-    dw: Tensor           # (TC, 1, k_dw, k_dw), groups=TC
-    ddw: Tensor          # (TC, 1, k_ddw, k_ddw), groups=TC, dilated
+    dw: Tensor           # (TC, 1, K_DW, K_DW), groups=TC
+    ddw: Tensor          # (TC, 1, K_DDW, K_DDW), groups=TC, dilated
     pw: Tensor           # (TC, TC, 1, 1)
     mb_squeeze_w: Tensor  # (TC/r, TC)
     mb_squeeze_b: Tensor
     mb_expand_w: Tensor   # (TC, TC/r)
     mb_expand_b: Tensor
     decode: Tensor       # (TC, TC, 1, 1)
-    k_dw: int = 5
-    k_ddw: int = 7
-    dilation: int = 3
 
     @classmethod
     def init(cls, time_steps: int, channels: int, rng: np.random.Generator,
-             ratio: int = 4, k_dw: int = 5, k_ddw: int = 7, dilation: int = 3,
-             dtype=np.float32) -> "TnaParams":
+             ratio: int = 4, dtype=np.float32) -> "TnaParams":
         tc = time_steps * channels
         if ratio < 1 or tc % ratio:
             raise ValueError(f"bottleneck ratio {ratio} does not divide {tc} fused channels")
         hidden = tc // ratio
         return cls(
             encode=_uniform_fan_in(rng, (tc, tc, 1, 1), tc, dtype),
-            dw=_uniform_fan_in(rng, (tc, 1, k_dw, k_dw), k_dw * k_dw, dtype),
-            ddw=_uniform_fan_in(rng, (tc, 1, k_ddw, k_ddw), k_ddw * k_ddw, dtype),
+            dw=_uniform_fan_in(rng, (tc, 1, K_DW, K_DW), K_DW * K_DW, dtype),
+            ddw=_uniform_fan_in(rng, (tc, 1, K_DDW, K_DDW), K_DDW * K_DDW, dtype),
             pw=_uniform_fan_in(rng, (tc, tc, 1, 1), tc, dtype),
             mb_squeeze_w=_uniform_fan_in(rng, (hidden, tc), tc, dtype),
             mb_squeeze_b=Tensor(np.zeros(hidden), requires_grad=True, dtype=dtype),
             mb_expand_w=_uniform_fan_in(rng, (tc, hidden), hidden, dtype),
             mb_expand_b=Tensor(np.zeros(tc), requires_grad=True, dtype=dtype),
             decode=_uniform_fan_in(rng, (tc, tc, 1, 1), tc, dtype),
-            k_dw=k_dw, k_ddw=k_ddw, dilation=dilation,
         )
 
     def parameters(self) -> list[Tensor]:
@@ -125,10 +125,10 @@ class DtaParams:
 
     @classmethod
     def init(cls, time_steps: int, channels: int, rng: np.random.Generator,
-             dtype=np.float32, **tna_kwargs) -> "DtaParams":
+             dtype=np.float32) -> "DtaParams":
         return cls(
             txa=TxaParams.init(time_steps, channels, rng, dtype=dtype),
-            tna=TnaParams.init(time_steps, channels, rng, dtype=dtype, **tna_kwargs),
+            tna=TnaParams.init(time_steps, channels, rng, dtype=dtype),
         )
 
     def parameters(self) -> list[Tensor]:
@@ -185,9 +185,8 @@ def ltca(f: Tensor, p: TnaParams) -> Tensor:
     All three convolutions are padded to preserve the spatial extents.
     """
     tc = f.shape[1]
-    h = conv2d(f, p.dw, padding=(p.k_dw - 1) // 2, groups=tc)
-    h = conv2d(h, p.ddw, padding=p.dilation * (p.k_ddw - 1) // 2,
-               dilation=p.dilation, groups=tc)
+    h = conv2d(f, p.dw, padding=(K_DW - 1) // 2, groups=tc)
+    h = conv2d(h, p.ddw, padding=DILATION * (K_DDW - 1) // 2, dilation=DILATION, groups=tc)
     return conv2d(h, p.pw)
 
 

@@ -76,6 +76,8 @@ def build_datasets(cfg: RunConfig):
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    if cfg.log_every < 1:
+        raise ConfigError(f"log_every must be >= 1, got {cfg.log_every}")
     train_set, test_set, transform = build_datasets(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     net = build(cfg.network_spec(), cfg.seed)
@@ -111,6 +113,10 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
 
 def cmd_gradcheck(cfg: RunConfig, break_op: str | None) -> int:
     results = run_suite(break_op=break_op, seed=cfg.seed)
+    names = [r.name for r in results]
+    if break_op is not None and break_op not in names:
+        raise ConfigError(f"unknown --break name {break_op!r}; valid names: "
+                          f"{', '.join(names)}")
     failed = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -131,6 +137,8 @@ def run_ablation(cfg: RunConfig) -> list[dict]:
     """Train every branch combination on the synthetic task, several seeds each."""
     from dataclasses import replace
 
+    if cfg.ablate_seeds < 1:
+        raise ConfigError(f"ablate_seeds must be >= 1, got {cfg.ablate_seeds}")
     rows = []
     for name, en_txa, en_tna in ABLATION_ROWS:
         accs = []

@@ -112,7 +112,7 @@ class RunConfig:
             batch_size=self.batch_size, epochs=self.epochs,
             lr0=self.lr0, momentum=self.momentum,
             weight_decay=self.weight_decay, lr_min=self.lr_min, seed=self.seed,
-            log_every=self.log_every, clip=self.clip,
+            clip=self.clip,
             checkpoint_path=checkpoint_path,
         )
 

@@ -21,6 +21,16 @@ MAGIC = b"DTASNN02"
 MAGIC_V1 = b"DTASNN01"
 
 
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless *value* is an integer; a bool or a float is not.
+
+    The specs stored in headers check their counts with this, so a JSON
+    ``2.0`` or ``2.7`` is refused instead of truncated or used as a shape.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def write(path, header: dict, arrays) -> None:
     """Write *header* and *arrays* to *path*, replacing any file there only once complete.
 

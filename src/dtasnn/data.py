@@ -63,6 +63,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("classes", "time_steps", "channels", "height", "width", "seed"):
+            container.require_int(name, getattr(self, name))
         for name in ("time_steps", "channels", "height", "width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -77,6 +79,7 @@ class SynthSpec:
             raise ValueError("one signature per class required")
         for sig in self.temporal_signature:
             for t in sig:
+                container.require_int("signature step", t)
                 if not 0 <= t < self.time_steps:
                     raise ValueError(f"signature step {t} outside [0, {self.time_steps})")
 
@@ -156,12 +159,11 @@ def _read_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
         return parse_cifar_records(fh.read())
 
 
-def normalize_cifar(pixels: np.ndarray, copy: bool = True) -> np.ndarray:
-    """Per-channel standardization; ``copy=False`` normalizes in place."""
-    out = pixels.copy() if copy else pixels
-    out -= CIFAR10_MEAN[:, None, None]
-    out /= CIFAR10_STD[:, None, None]
-    return out
+def normalize_cifar(pixels: np.ndarray) -> np.ndarray:
+    """Per-channel standardization of (N, 3, H, W) pixels, in place."""
+    pixels -= CIFAR10_MEAN[:, None, None]
+    pixels /= CIFAR10_STD[:, None, None]
+    return pixels
 
 
 def load_cifar10_binary(directory):
@@ -184,8 +186,7 @@ def load_cifar10_binary(directory):
     if not os.path.exists(test_path):
         raise FormatError(f"missing CIFAR-10 batch {test_path}")
     test_x, test_y = _read_cifar_file(test_path)
-    return (normalize_cifar(train_x, copy=False), train_y,
-            normalize_cifar(test_x, copy=False), test_y)
+    return normalize_cifar(train_x), train_y, normalize_cifar(test_x), test_y
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,8 @@ def load_synthetic(path) -> tuple[SynthSpec, list[Sample]]:
         values = {f.name: header[f.name] for f in fields(SynthSpec)}
         values["temporal_signature"] = tuple(tuple(s) for s in values["temporal_signature"])
         spec = SynthSpec(**values)
-        count = int(header["count"])
+        count = header["count"]
+        container.require_int("count", count)
     except KeyError as exc:
         raise FormatError(f"{path}: header is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

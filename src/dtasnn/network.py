@@ -47,6 +47,8 @@ class NetworkSpec:
     lif: LifParams = field(default_factory=LifParams)
 
     def __post_init__(self):
+        for name in ("time_steps", "in_channels", "stem_channels", "num_classes"):
+            container.require_int(name, getattr(self, name))
         if self.time_steps < 1:
             raise ValueError(f"time_steps must be >= 1, got {self.time_steps}")
         if self.in_channels < 1 or self.stem_channels < 1 or self.num_classes < 1:
@@ -54,6 +56,8 @@ class NetworkSpec:
         if not self.stages:
             raise ValueError("stages must be non-empty")
         for ch, blocks, stride in self.stages:
+            for v in (ch, blocks, stride):
+                container.require_int("stages entry", v)
             if ch < 1 or blocks < 1:
                 raise ValueError(f"invalid stage ({ch}, {blocks}, {stride})")
             if stride not in (1, 2):
@@ -65,11 +69,11 @@ class NetworkSpec:
     def from_dict(cls, d: dict) -> "NetworkSpec":
         lif = d.get("lif", {})
         return cls(
-            time_steps=int(d["time_steps"]),
-            in_channels=int(d["in_channels"]),
-            stem_channels=int(d["stem_channels"]),
-            stages=tuple(tuple(int(v) for v in s) for s in d["stages"]),
-            num_classes=int(d["num_classes"]),
+            time_steps=d["time_steps"],
+            in_channels=d["in_channels"],
+            stem_channels=d["stem_channels"],
+            stages=tuple(tuple(s) for s in d["stages"]),
+            num_classes=d["num_classes"],
             dta_enabled=tuple(bool(v) for v in d["dta_enabled"]),
             lif=LifParams(tau=float(lif["tau"]), v_th=float(lif["v_th"]),
                           alpha=float(lif["alpha"]),
@@ -90,20 +94,16 @@ def spec_mismatch(a: NetworkSpec, b: NetworkSpec) -> str | None:
     return None
 
 
-def _init_conv(rng, cout, cin_per_group, kh, kw, dtype=np.float32) -> Tensor:
-    fan_in = cin_per_group * kh * kw
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=(cout, cin_per_group, kh, kw)),
-                  requires_grad=True, dtype=dtype)
-
-
 class Conv2dLayer:
-    """Bias-free convolution layer (normalization follows every conv here)."""
+    """Bias-free k x k convolution padded by (k-1)/2 (normalization follows
+    every conv here)."""
 
-    def __init__(self, rng, cin, cout, k, stride=1, padding=None, dtype=np.float32):
+    def __init__(self, rng, cin, cout, k, stride=1):
         self.stride = stride
-        self.padding = (k - 1) // 2 if padding is None else padding
-        self.weight = _init_conv(rng, cout, cin, k, k, dtype)
+        self.padding = (k - 1) // 2
+        bound = 1.0 / np.sqrt(cin * k * k)
+        self.weight = Tensor(rng.uniform(-bound, bound, size=(cout, cin, k, k)),
+                             requires_grad=True, dtype=np.float32)
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, stride=self.stride, padding=self.padding)
@@ -113,10 +113,10 @@ class Conv2dLayer:
 
 
 class BatchNorm2dLayer:
-    def __init__(self, channels, dtype=np.float32):
-        self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=dtype)
-        self.beta = Tensor(np.zeros(channels), requires_grad=True, dtype=dtype)
-        self.state = BatchNormState(channels, dtype=dtype)
+    def __init__(self, channels):
+        self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=np.float32)
+        self.beta = Tensor(np.zeros(channels), requires_grad=True, dtype=np.float32)
+        self.state = BatchNormState(channels)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return batch_norm_2d(x, self.gamma, self.beta, self.state, training)
@@ -124,16 +124,13 @@ class BatchNorm2dLayer:
     def named_parameters(self, prefix):
         return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
 
-    def buffers(self):
-        return self.state
-
 
 class LinearLayer:
-    def __init__(self, rng, n_in, n_out, dtype=np.float32):
+    def __init__(self, rng, n_in, n_out):
         bound = 1.0 / np.sqrt(n_in)
         self.weight = Tensor(rng.uniform(-bound, bound, size=(n_out, n_in)),
-                             requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(n_out), requires_grad=True, dtype=dtype)
+                             requires_grad=True, dtype=np.float32)
+        self.bias = Tensor(np.zeros(n_out), requires_grad=True, dtype=np.float32)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -159,16 +156,15 @@ def _spike_layer(x: Tensor, p: LifParams) -> Tensor:
 class MsBlock:
     """Pre-activation residual block with a membrane (un-spiked) shortcut."""
 
-    def __init__(self, rng, cin, cout, stride, lif: LifParams, dtype=np.float32):
+    def __init__(self, rng, cin, cout, stride, lif: LifParams):
         self.lif = lif
-        self.conv1 = Conv2dLayer(rng, cin, cout, 3, stride=stride, dtype=dtype)
-        self.bn1 = BatchNorm2dLayer(cout, dtype=dtype)
-        self.conv2 = Conv2dLayer(rng, cout, cout, 3, dtype=dtype)
-        self.bn2 = BatchNorm2dLayer(cout, dtype=dtype)
+        self.conv1 = Conv2dLayer(rng, cin, cout, 3, stride=stride)
+        self.bn1 = BatchNorm2dLayer(cout)
+        self.conv2 = Conv2dLayer(rng, cout, cout, 3)
+        self.bn2 = BatchNorm2dLayer(cout)
         self.downsample = None
         if stride != 1 or cin != cout:
-            self.downsample = Conv2dLayer(rng, cin, cout, 1, stride=stride, padding=0,
-                                          dtype=dtype)
+            self.downsample = Conv2dLayer(rng, cin, cout, 1, stride=stride)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         t, b = x.shape[0], x.shape[1]
@@ -205,32 +201,30 @@ def _pick_bottleneck_ratio(tc: int) -> int:
 class Network:
     """A built backbone: layers, parameters, and the forward pass."""
 
-    def __init__(self, spec: NetworkSpec, seed: int, dtype=np.float32):
+    def __init__(self, spec: NetworkSpec, seed: int):
         self.spec = spec
         rng = np.random.default_rng(seed)
         lif = spec.lif
-        self.stem_conv = Conv2dLayer(rng, spec.in_channels, spec.stem_channels, 3,
-                                     dtype=dtype)
-        self.stem_bn = BatchNorm2dLayer(spec.stem_channels, dtype=dtype)
+        self.stem_conv = Conv2dLayer(rng, spec.in_channels, spec.stem_channels, 3)
+        self.stem_bn = BatchNorm2dLayer(spec.stem_channels)
 
         enable_txa, enable_tna = spec.dta_enabled
         self.txa: TxaParams | None = None
         self.tna: TnaParams | None = None
         if enable_txa:
-            self.txa = TxaParams.init(spec.time_steps, spec.stem_channels, rng, dtype=dtype)
+            self.txa = TxaParams.init(spec.time_steps, spec.stem_channels, rng)
         if enable_tna:
             tc = spec.time_steps * spec.stem_channels
             self.tna = TnaParams.init(spec.time_steps, spec.stem_channels, rng,
-                                      ratio=_pick_bottleneck_ratio(tc), dtype=dtype)
+                                      ratio=_pick_bottleneck_ratio(tc))
 
         self.blocks: list[MsBlock] = []
         cin = spec.stem_channels
         for ch, count, stride in spec.stages:
             for i in range(count):
-                self.blocks.append(MsBlock(rng, cin, ch, stride if i == 0 else 1,
-                                           lif, dtype=dtype))
+                self.blocks.append(MsBlock(rng, cin, ch, stride if i == 0 else 1, lif))
                 cin = ch
-        self.head = LinearLayer(rng, cin, spec.num_classes, dtype=dtype)
+        self.head = LinearLayer(rng, cin, spec.num_classes)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         """Logits (B, num_classes) from input (T, B, Cin, H, W)."""

@@ -24,6 +24,12 @@ from scipy.linalg.blas import dgemm as _dgemm, sgemm as _sgemm
 from .tensor import GeometryError, ShapeError, Tensor, apply_primitive
 
 
+# batch norm: share of the running statistics kept per training batch, and
+# the variance floor
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
+
 class MissingStatisticsError(RuntimeError):
     """Eval-mode batch norm ran before any training batch recorded statistics."""
 
@@ -111,9 +117,9 @@ def _from_phases(ph: np.ndarray, spans, shape: tuple, Hq: int, Wq: int,
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
-           padding: int = 0, dilation: int = 1, groups: int = 1) -> Tensor:
-    """2-D cross-correlation over (B, Cin, H, W) with (Cout, Cin/g, kh, kw).
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
+           dilation: int = 1, groups: int = 1) -> Tensor:
+    """Bias-free 2-D cross-correlation over (B, Cin, H, W) with (Cout, Cin/g, kh, kw).
 
     ``groups=Cin`` with single-channel kernels gives a depth-wise convolution,
     1x1 kernels give a point-wise one, and ``dilation > 1`` spreads the taps.
@@ -177,9 +183,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
                 tap(gxp, 0, 0)[...] = gxs
                 gx = crop(gxp)
             gw = np.tensordot(g, xs, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None]
-            if bias is None:
-                return gx, gw
-            return gx, gw, g.sum(axis=(0, 2, 3))
+            return gx, gw
 
     elif groups == C and Cg == 1 and Cout == C:
         # depth-wise, channels-last: per tap, multiply-accumulate the output
@@ -211,10 +215,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
                 acc = scratch[:, :nr, :nc]
                 np.multiply(g_tap, wv[:, 0, u, v], out=acc)
                 gx_l[:, ri, ci] += acc
-            gx = np.ascontiguousarray(gx_l.transpose(0, 3, 1, 2))
-            if bias is None:
-                return gx, gw
-            return gx, gw, g.sum(axis=(0, 2, 3))
+            return np.ascontiguousarray(gx_l.transpose(0, 3, 1, 2)), gw
 
     else:
         # general (possibly grouped): implicit GEMM over the padded phase grid;
@@ -257,21 +258,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
             gw = gwt.transpose(2, 4, 3, 0, 1).reshape(w.shape).astype(wv.dtype, copy=False)
             gx = None if gph is None else _from_phases(gph, spans, xv.shape, Hq, Wq,
                                                          xv.dtype)
-            if bias is None:
-                return gx, gw
-            return gx, gw, g.sum(axis=(0, 2, 3))
+            return gx, gw
 
-    if bias is not None:
-        out = out + bias.values[None, :, None, None]
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return apply_primitive(inputs, out, bwd)
+    return apply_primitive((x, w), out, bwd)
 
 
-def conv1d(x: Tensor, w: Tensor, padding: int | None = None) -> Tensor:
+def conv1d(x: Tensor, w: Tensor) -> Tensor:
     """Length-preserving 1-D cross-correlation over (B, S, L) with (S_out, S, k).
 
-    The kernel must be odd; padding defaults to (k-1)/2 so that the output
+    The kernel must be odd and both ends are padded by (k-1)/2, so the output
     length equals the input length. The S dimension mixes as channels.
     """
     if x.ndim != 3 or w.ndim != 3:
@@ -282,11 +277,7 @@ def conv1d(x: Tensor, w: Tensor, padding: int | None = None) -> Tensor:
         raise ShapeError(f"conv1d kernel length must be odd, got {k}")
     if Sin != S:
         raise ShapeError(f"conv1d weight expects {Sin} channels, input provides {S}")
-    if padding is None:
-        padding = (k - 1) // 2
-    Lo = L + 2 * padding - k + 1
-    if Lo < 1:
-        raise GeometryError(f"conv1d output length {Lo} invalid for input {L}, kernel {k}")
+    padding = (k - 1) // 2
 
     xp = np.pad(x.values, ((0, 0), (0, 0), (padding, padding)))
     win = sliding_window_view(xp, k, axis=2)
@@ -296,45 +287,36 @@ def conv1d(x: Tensor, w: Tensor, padding: int | None = None) -> Tensor:
         gw = np.einsum("bol,bslk->osk", g, win)
         gxp = np.zeros_like(xp)
         for i in range(k):
-            gxp[:, :, i:i + Lo] += np.einsum("bol,os->bsl", g, w.values[:, :, i])
+            gxp[:, :, i:i + L] += np.einsum("bol,os->bsl", g, w.values[:, :, i])
         return gxp[:, :, padding:padding + L], gw
 
     return apply_primitive((x, w), out, bwd)
 
 
-def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Affine map (B, n) @ (m, n)^T + (m,)."""
     if x.ndim != 2 or w.ndim != 2:
         raise ShapeError(f"linear expects 2-D input and weight, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear inner dimensions differ: input {x.shape} vs weight {w.shape}")
-    out = x.values @ w.values.T
-    if bias is not None:
-        out = out + bias.values[None, :]
+    out = x.values @ w.values.T + bias.values[None, :]
 
     def bwd(g):
-        gx = g @ w.values
-        gw = g.T @ x.values
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=0)
+        return g @ w.values, g.T @ x.values, g.sum(axis=0)
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return apply_primitive(inputs, out, bwd)
+    return apply_primitive((x, w, bias), out, bwd)
 
 
 @dataclass
 class BatchNormState:
     """Running statistics of a 2-D batch norm layer.
 
-    ``running = momentum * running + (1 - momentum) * batch`` on every
+    ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch`` on every
     training-mode forward; eval mode uses the stored values and refuses to run
     before any batch has been tracked.
     """
 
     num_features: int
-    momentum: float = 0.9
-    eps: float = 1e-5
     dtype: np.dtype = np.float32
     running_mean: np.ndarray = field(init=False)
     running_var: np.ndarray = field(init=False)
@@ -364,11 +346,11 @@ def batch_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     if training:
         mu = xv.mean(axis=axes)
         var = xv.var(axis=axes)
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.dtype)
         state.batches_tracked += 1
-        inv = 1.0 / np.sqrt(var + state.eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (xv - mu[None, :, None, None]) * inv[None, :, None, None]
         out = gv * xhat + beta.values[None, :, None, None]
 
@@ -384,7 +366,7 @@ def batch_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
             raise MissingStatisticsError(
                 "batch_norm_2d eval mode before any statistics were recorded "
                 "(the network has not run a training batch)")
-        inv = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv = 1.0 / np.sqrt(state.running_var + BN_EPS)
         xhat = (xv - state.running_mean[None, :, None, None]) * inv[None, :, None, None]
         out = gv * xhat + beta.values[None, :, None, None]
 

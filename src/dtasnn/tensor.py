@@ -4,8 +4,9 @@ A :class:`Tensor` wraps a contiguous numpy array. While a
 :class:`ComputationRecord` is active (``with ComputationRecord():``), every
 primitive appends one node to the record; :func:`backward` replays the nodes
 in exact reverse creation order and accumulates gradients additively into
-every reachable tensor that requires them. Tensors never adopted by a record
-are constants and never receive gradients.
+every reachable tensor that requires them. A tensor that neither requires
+gradients nor is the output of a recorded primitive is a constant and never
+receives gradients.
 
 Default element type is float32. Kernels are dtype-generic, so verification
 code may run the same graph in float64 by constructing float64 tensors.
@@ -109,13 +110,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(())[()])
 
-    def detach(self) -> "Tensor":
-        """Constant view of the same values, severed from any record."""
-        return Tensor(self.values)
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         flags = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flags})"
@@ -139,12 +133,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, perm):
-        return transpose(self, perm)
 
 
 class _Node:
@@ -176,7 +164,6 @@ class ComputationRecord:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._leaves: list[Tensor] = []
         self._backward_done = False
 
     def __enter__(self) -> "ComputationRecord":
@@ -189,16 +176,6 @@ class ComputationRecord:
     def __exit__(self, exc_type, exc, tb) -> None:
         global _ACTIVE
         _ACTIVE = None
-        self._release_leaves()
-
-    def _adopt_leaf(self, t: Tensor) -> None:
-        t.rec = self
-        self._leaves.append(t)
-
-    def _release_leaves(self) -> None:
-        for t in self._leaves:
-            t.rec = None
-        self._leaves.clear()
 
 
 def apply_primitive(inputs: tuple, out_values: np.ndarray,
@@ -218,9 +195,6 @@ def apply_primitive(inputs: tuple, out_values: np.ndarray,
             raise RecordError("input tensor belongs to a different computation record")
         traced = traced or t.rec is rec or t.requires_grad
     if traced:
-        for t in inputs:
-            if t.requires_grad and t.rec is None:
-                rec._adopt_leaf(t)
         out.rec = rec
         rec.nodes.append(_Node(inputs, out, backward_fn))
     return out
@@ -254,7 +228,6 @@ def backward(loss: Tensor) -> None:
                 continue
             if t.rec is rec or t.requires_grad:
                 t.grad = p if t.grad is None else t.grad + p
-    rec._release_leaves()
     release_last_tape()
     _LAST_BACKWARD = rec
 

@@ -32,18 +32,17 @@ class TrainConfig:
     weight_decay: float = 5e-5
     lr_min: float = 0.0
     seed: int = 0
-    log_every: int = 1
     clip: float = 0.0
     checkpoint_path: str | None = None
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         # lr0 == lr_min (including both zero) is the degenerate constant-rate run
         if not self.lr0 >= self.lr_min >= 0.0:
             raise ValueError(f"need lr0 >= lr_min >= 0, got {self.lr0} and {self.lr_min}")
-        if self.log_every < 1:
-            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
 
 
 @dataclass

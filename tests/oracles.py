@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 
-def conv2d_loop(x, w, bias=None, stride=1, padding=1, dilation=1, groups=1):
+def conv2d_loop(x, w, stride=1, padding=1, dilation=1, groups=1):
     """Six-nested-loop 2-D cross-correlation in float64."""
     B, C, H, W = x.shape
     Cout, Cg, kh, kw = w.shape
@@ -34,8 +34,6 @@ def conv2d_loop(x, w, bias=None, stride=1, padding=1, dilation=1, groups=1):
                                              i * stride + u * dilation,
                                              j * stride + v * dilation])
                     out[b, co, i, j] = acc
-    if bias is not None:
-        out += np.asarray(bias)[None, :, None, None]
     return out
 
 
@@ -68,7 +66,7 @@ def conv2d_loop_grads(x, w, g, stride=1, padding=1, dilation=1, groups=1):
     return gxp[:, :, padding:padding + H, padding:padding + W], gw
 
 
-def depthwise_tap_loop(x, w, g, bias=None, stride=1, padding=0, dilation=1):
+def depthwise_tap_loop(x, w, g, stride=1, padding=0, dilation=1):
     """Forward output and input gradient of the padded NCHW depth-wise tap loop.
 
     A copy of the kernel the channels-last one replaced: one scaled, shifted
@@ -98,8 +96,6 @@ def depthwise_tap_loop(x, w, g, bias=None, stride=1, padding=0, dilation=1):
             out += buf
             np.multiply(g, w[:, 0, u, v][None, :, None, None], out=scratch)
             tap(gxp, u, v)[...] += scratch
-    if bias is not None:
-        out = out + bias[None, :, None, None]
     return out, gxp[:, :, padding:padding + H, padding:padding + W]
 
 
@@ -203,11 +199,10 @@ def gelu_vec_ref(x):
 
 
 def ltca_ref(f, p):
-    h = conv2d_loop(f, p.dw.values, stride=1, padding=(p.k_dw - 1) // 2,
-                    groups=f.shape[1])
-    h = conv2d_loop(h, p.ddw.values, stride=1,
-                    padding=p.dilation * (p.k_ddw - 1) // 2,
-                    dilation=p.dilation, groups=f.shape[1])
+    """Depth-wise 5x5 (padding 2), depth-wise 7x7 at dilation 3 (padding 9),
+    then point-wise."""
+    h = conv2d_loop(f, p.dw.values, stride=1, padding=2, groups=f.shape[1])
+    h = conv2d_loop(h, p.ddw.values, stride=1, padding=9, dilation=3, groups=f.shape[1])
     return conv2d_loop(h, p.pw.values, stride=1, padding=0)
 
 

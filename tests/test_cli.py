@@ -5,9 +5,10 @@ import os
 
 import numpy as np
 
+from dtasnn import container
 from dtasnn.cli import main
 from dtasnn.data import load_synthetic
-from dtasnn.network import load_checkpoint
+from dtasnn.network import CheckpointError, load_checkpoint
 
 FAST = ["--batch_size", "16", "--epochs", "2", "--time_steps", "4",
         "--stem_channels", "4", "--stages", "4:1:1", "--num_classes", "2",
@@ -42,6 +43,18 @@ class TestTrainCommand:
         code = main(["train", "--config", cfg, "--time_steps", "0", "--out", str(tmp_path)])
         assert code == 2
         assert "time_steps" in capsys.readouterr().err
+
+    def test_negative_epochs_exit_2_writing_nothing(self, tmp_path, capsys):
+        code, out = run_fast_train(tmp_path, ["--epochs", "-2"])
+        assert code == 2
+        assert "epochs" in capsys.readouterr().err
+        for name in ("checkpoint.dtasnn", "metrics.jsonl"):
+            assert not os.path.exists(os.path.join(out, name))
+
+    def test_zero_log_every_exit_2(self, tmp_path, capsys):
+        code, _ = run_fast_train(tmp_path, ["--log_every", "0"])
+        assert code == 2
+        assert "log_every" in capsys.readouterr().err
 
     def test_deterministic_flag_accepted(self, tmp_path):
         code, _ = run_fast_train(tmp_path, ["--deterministic", "--epochs", "1"])
@@ -121,6 +134,16 @@ class TestEvalCommand:
             codes.add(main(["eval", "--checkpoint", cut] + tiny))
         assert codes == {2}
 
+    def test_non_integer_time_steps_exit_2(self, tmp_path, capsys):
+        # 4.7 would truncate to the configured T=4 and evaluate as that network
+        _, out = run_fast_train(tmp_path, ["--epochs", "1"])
+        ckpt = os.path.join(out, "checkpoint.dtasnn")
+        header, runs = container.read(ckpt, CheckpointError)
+        container.write(ckpt, {**header, "time_steps": 4.7}, runs)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt, "--seed", "1"] + FAST) == 2
+        assert "time_steps" in capsys.readouterr().err
+
     def test_missing_checkpoint_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "none.dtasnn")
         assert main(["eval", "--checkpoint", missing] + FAST) == 2
@@ -154,6 +177,13 @@ class TestGradcheckCommand:
             failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                       if line.endswith("FAIL")]
             assert failed == [op]
+
+    def test_unknown_break_name_exit_2(self, capsys):
+        assert main(["gradcheck", "--break", "conv2dd"]) == 2
+        captured = capsys.readouterr()
+        assert "max_rel_err" not in captured.out
+        assert "conv2dd" in captured.err
+        assert "conv2d_depthwise" in captured.err and "lif_unroll" in captured.err
 
     def test_each_operation_listed_once(self, capsys):
         main(["gradcheck"])
@@ -199,6 +229,12 @@ class TestAblateCommand:
         assert all(len(r["accuracies"]) == 1 for r in rows)
         table = capsys.readouterr().out
         assert "baseline" in table and "dta" in table
+
+    def test_zero_seeds_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "ablate")
+        assert main(["ablate", "--out", out, "--ablate_seeds", "0"] + FAST) == 2
+        assert "ablate_seeds" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "ablation.json"))
 
 
 def test_checkpoint_loadable_via_library(tmp_path):

@@ -252,6 +252,23 @@ class TestSynthetic:
         with pytest.raises(FormatError, match=field):
             load_synthetic(path)
 
+    @pytest.mark.parametrize("override, field", [
+        ({"classes": 2.0}, "classes"),
+        ({"seed": 1.5}, "seed"),
+        ({"time_steps": 2.0}, "time_steps"),
+        ({"width": True}, "width"),
+        ({"temporal_signature": [[0.0], [1]]}, "signature"),
+        ({"count": 3.5}, "count"),
+    ])
+    def test_container_header_non_integer_geometry(self, tmp_path, override, field):
+        spec = SynthSpec(time_steps=2, channels=1, height=2, width=2)
+        samples = gen_synthetic(spec, 3)
+        path = tmp_path / "synth.dtasnn"
+        container.write(path, {**asdict(spec), "count": 3, **override},
+                        (np.stack([s.input for s in samples]), [s.label for s in samples]))
+        with pytest.raises(FormatError, match=field):
+            load_synthetic(path)
+
     def test_failed_write_keeps_previous_fixture(self, tmp_path):
         spec = SynthSpec(time_steps=2, channels=1, height=2, width=2)
         path = tmp_path / "synth.dtasnn"

@@ -10,6 +10,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from dtasnn import container
 from dtasnn.container import MAGIC as CHECKPOINT_MAGIC, MAGIC_V1 as CHECKPOINT_MAGIC_V1
 from dtasnn.data import FormatError, SynthSpec, gen_synthetic, load_synthetic, save_synthetic
 from dtasnn.neuron import LifParams
@@ -113,6 +114,14 @@ class TestBuild:
                            num_classes=10)
         assert build(spec, seed=0).parameter_count() == 12_761_276
 
+    def test_parameters_and_buffers_are_float32(self):
+        net = build(MINI, seed=0)
+        for name, p in net.named_parameters():
+            assert p.dtype == np.float32, name
+        for bn in net.bn_layers():
+            assert bn.state.running_mean.dtype == np.float32
+            assert bn.state.running_var.dtype == np.float32
+
 
 class TestForward:
     def test_output_shape(self, rng):
@@ -215,7 +224,7 @@ class TestSingleStepEquivalence:
             st = bn.state
             return (bn.gamma.values[None, :, None, None]
                     * (h - st.running_mean[None, :, None, None])
-                    / np.sqrt(st.running_var[None, :, None, None] + st.eps)
+                    / np.sqrt(st.running_var[None, :, None, None] + 1e-5)
                     + bn.beta.values[None, :, None, None])
 
         xv = rng.standard_normal((1, 2, 2, 6, 6)).astype(np.float32)
@@ -374,6 +383,20 @@ class TestCheckpoint:
         path = tmp_path / "net.dtasnn"
         save_checkpoint(path, net)
         assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("override, field", [
+        ({"time_steps": 2.7}, "time_steps"),
+        ({"time_steps": 2.0}, "time_steps"),
+        ({"num_classes": True}, "num_classes"),
+        ({"stages": [[2, 1.0, 1]]}, "stages"),
+    ])
+    def test_non_integer_spec_rejected(self, tmp_path, override, field):
+        # a CRC-valid header whose geometry would truncate to a valid network
+        path = tmp_path / "net.dtasnn"
+        container.write(path, {**asdict(TINY), **override},
+                        build(TINY, seed=0).state_arrays())
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("save, load, error, field", [
         pytest.param(save_tiny_fixture, load_checkpoint, CheckpointError, "in_channels",

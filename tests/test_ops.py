@@ -24,15 +24,13 @@ def engine_grads(f, params):
     return [p.grad for p in params]
 
 
-def taped_conv2d(xv, wv, bv, g, kwargs):
-    """Forward values and (gx, gw[, gb]) of conv2d for upstream gradient g."""
+def taped_conv2d(xv, wv, g, kwargs):
+    """Forward values and (gx, gw) of conv2d for upstream gradient g."""
     x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
-    b = None if bv is None else Tensor(bv, requires_grad=True)
-    params = [x, w] if b is None else [x, w, b]
     with ComputationRecord():
-        out = conv2d(x, w, b, **kwargs)
+        out = conv2d(x, w, **kwargs)
         backward(tz.tsum(out * Tensor(g)))
-    return out.values, [p.grad for p in params]
+    return out.values, [x.grad, w.grad]
 
 
 class TestConv2dForward:
@@ -63,10 +61,9 @@ class TestConv2dForward:
     def test_matches_loop_oracle(self, rng, shape, wshape, kwargs):
         x = rng.standard_normal(shape)
         w = rng.standard_normal(wshape)
-        b = rng.standard_normal(wshape[0])
-        got = conv2d(Tensor(x), Tensor(w), Tensor(b, dtype=np.float64), **kwargs)
-        want = conv2d_loop(x, w, b, **{"stride": 1, "padding": 0, "dilation": 1,
-                                       "groups": 1, **kwargs})
+        got = conv2d(Tensor(x), Tensor(w), **kwargs)
+        want = conv2d_loop(x, w, **{"stride": 1, "padding": 0, "dilation": 1,
+                                    "groups": 1, **kwargs})
         np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=1e-12)
 
 
@@ -104,29 +101,26 @@ class TestConv2dGradients:
     def test_grads_vs_fd_on_oracle(self, rng, wshape, kwargs):
         xv = rng.standard_normal((2, 2, 5, 5))
         wv = rng.standard_normal(wshape) * 0.5
-        bv = rng.standard_normal(wshape[0]) * 0.1
         probe = rng.standard_normal()
         full = {"stride": 1, "padding": 0, "dilation": 1, "groups": 1, **kwargs}
 
-        x, w, b = leaf(xv), leaf(wv), leaf(bv)
+        x, w = leaf(xv), leaf(wv)
         weights = np.asarray(np.cos(np.arange(400.0)))  # fixed probe field
 
         def loss():
-            out = conv2d(x, w, b, **kwargs)
+            out = conv2d(x, w, **kwargs)
             pr = Tensor(weights[:out.size].reshape(out.shape), dtype=np.float64)
             return tz.tsum(out * pr)
 
-        gx, gw, gb = engine_grads(loss, [x, w, b])
+        gx, gw = engine_grads(loss, [x, w])
 
-        def oracle(xx, ww, bb):
-            out = conv2d_loop(xx, ww, bb, **full)
+        def oracle(xx, ww):
+            out = conv2d_loop(xx, ww, **full)
             return float((out * weights[:out.size].reshape(out.shape)).sum())
 
-        np.testing.assert_allclose(gx, fd_grad(lambda v: oracle(v, wv, bv), xv),
+        np.testing.assert_allclose(gx, fd_grad(lambda v: oracle(v, wv), xv),
                                    rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(gw, fd_grad(lambda v: oracle(xv, v, bv), wv),
-                                   rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(gb, fd_grad(lambda v: oracle(xv, wv, v), bv),
+        np.testing.assert_allclose(gw, fd_grad(lambda v: oracle(xv, v), wv),
                                    rtol=1e-5, atol=1e-8)
 
 
@@ -139,46 +133,40 @@ class TestDepthwise:
         # padding >= input extent: only the centre tap reads the image
         ((2, 3, 3, 2), 7, dict(padding=9, dilation=3)),
         ((1, 2, 4, 5), 3, dict(stride=2, padding=3, dilation=3)),
-        # every tap reads padding only: the output is the bias
+        # every tap reads padding only: the output is zero
         ((2, 2, 1, 1), 1, dict(stride=2, padding=1)),
     ]
 
     @staticmethod
-    def inputs(rng, shape, k, dtype, with_bias):
-        C = shape[1]
+    def inputs(rng, shape, k, dtype):
         xv = rng.standard_normal(shape).astype(dtype)
-        wv = rng.standard_normal((C, 1, k, k)).astype(dtype)
-        bv = rng.standard_normal(C).astype(dtype) if with_bias else None
-        return xv, wv, bv
+        wv = rng.standard_normal((shape[1], 1, k, k)).astype(dtype)
+        return xv, wv
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("shape,k,kwargs", GEOMETRIES)
-    def test_matches_loop_oracle(self, rng, shape, k, kwargs, dtype, with_bias):
-        xv, wv, bv = self.inputs(rng, shape, k, dtype, with_bias)
+    def test_matches_loop_oracle(self, rng, shape, k, kwargs, dtype):
+        xv, wv = self.inputs(rng, shape, k, dtype)
         full = {"stride": 1, "padding": 0, "dilation": 1, "groups": shape[1], **kwargs}
-        want = conv2d_loop(xv, wv, bv, **full)
+        want = conv2d_loop(xv, wv, **full)
         g = rng.standard_normal(want.shape).astype(dtype)
-        out, grads = taped_conv2d(xv, wv, bv, g, {"groups": shape[1], **kwargs})
+        out, grads = taped_conv2d(xv, wv, g, {"groups": shape[1], **kwargs})
         want_gx, want_gw = conv2d_loop_grads(xv, wv, g, **full)
         tol = dict(rtol=1e-12, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-5)
         assert out.dtype == dtype and all(p.dtype == dtype for p in grads)
         np.testing.assert_allclose(out, want, **tol)
         np.testing.assert_allclose(grads[0], want_gx, **tol)
         np.testing.assert_allclose(grads[1], want_gw, **tol)
-        if with_bias:
-            np.testing.assert_allclose(grads[2], g.sum(axis=(0, 2, 3)), **tol)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("shape,k,kwargs", GEOMETRIES)
     def test_forward_and_input_grad_bits_match_tap_loop(self, rng, shape, k, kwargs,
-                                                        dtype, with_bias):
-        xv, wv, bv = self.inputs(rng, shape, k, dtype, with_bias)
+                                                        dtype):
+        xv, wv = self.inputs(rng, shape, k, dtype)
         out_shape = conv2d(Tensor(xv), Tensor(wv), groups=shape[1], **kwargs).shape
         g = rng.standard_normal(out_shape).astype(dtype)
-        want_out, want_gx = depthwise_tap_loop(xv, wv, g, bv, **kwargs)
-        out, grads = taped_conv2d(xv, wv, bv, g, {"groups": shape[1], **kwargs})
+        want_out, want_gx = depthwise_tap_loop(xv, wv, g, **kwargs)
+        out, grads = taped_conv2d(xv, wv, g, {"groups": shape[1], **kwargs})
         assert out.tobytes() == want_out.tobytes()
         assert grads[0].tobytes() == want_gx.tobytes()
 
@@ -204,24 +192,20 @@ class TestGeneral:
     ]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("shape,wshape,kwargs", GEOMETRIES)
-    def test_matches_loop_oracle(self, rng, shape, wshape, kwargs, dtype, with_bias):
+    def test_matches_loop_oracle(self, rng, shape, wshape, kwargs, dtype):
         xv = rng.standard_normal(shape).astype(dtype)
         wv = rng.standard_normal(wshape).astype(dtype)
-        bv = rng.standard_normal(wshape[0]).astype(dtype) if with_bias else None
         full = {"stride": 1, "padding": 0, "dilation": 1, "groups": 1, **kwargs}
-        want = conv2d_loop(xv, wv, bv, **full)
+        want = conv2d_loop(xv, wv, **full)
         g = rng.standard_normal(want.shape).astype(dtype)
-        out, grads = taped_conv2d(xv, wv, bv, g, kwargs)
+        out, grads = taped_conv2d(xv, wv, g, kwargs)
         want_gx, want_gw = conv2d_loop_grads(xv, wv, g, **full)
         tol = dict(rtol=1e-12, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-5)
         assert out.dtype == dtype and all(p.dtype == dtype for p in grads)
         np.testing.assert_allclose(out, want, **tol)
         np.testing.assert_allclose(grads[0], want_gx, **tol)
         np.testing.assert_allclose(grads[1], want_gw, **tol)
-        if with_bias:
-            np.testing.assert_allclose(grads[2], g.sum(axis=(0, 2, 3)), **tol)
 
     # the last geometry's columns are the unpadded image itself, the same size
     @pytest.mark.parametrize("shape,wshape,kwargs", GEOMETRIES[:-1])
@@ -242,18 +226,15 @@ class TestGeneral:
     def test_constant_input_gets_no_partial(self, rng, shape, wshape, kwargs):
         xv = rng.standard_normal(shape)
         wv = rng.standard_normal(wshape)
-        bv = rng.standard_normal(wshape[0])
         out_shape = conv2d(Tensor(xv), Tensor(wv), **kwargs).shape
         g = rng.standard_normal(out_shape)
-        _, tracked = taped_conv2d(xv, wv, bv, g, kwargs)
-        x = Tensor(xv)
-        w, b = Tensor(wv, requires_grad=True), Tensor(bv, requires_grad=True)
+        _, tracked = taped_conv2d(xv, wv, g, kwargs)
+        w = Tensor(wv, requires_grad=True)
         with ComputationRecord() as rec:
-            conv2d(x, w, b, **kwargs)
+            conv2d(Tensor(xv), w, **kwargs)
             partials = rec.nodes[0].backward_fn(g)
         assert partials[0] is None
         assert partials[1].tobytes() == tracked[1].tobytes()
-        assert partials[2].tobytes() == tracked[2].tobytes()
 
 
 class TestConv2dErrors:
@@ -320,7 +301,7 @@ class TestLinear:
 
     def test_inner_dimension_mismatch(self):
         with pytest.raises(ShapeError, match="inner"):
-            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
 
     def test_grads_vs_fd(self, rng):
         xv, wv, bv = (rng.standard_normal((3, 4)), rng.standard_normal((2, 4)),

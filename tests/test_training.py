@@ -279,6 +279,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(build(TINY_NET, seed=0), [], [], TrainConfig(epochs=1))
 
+    def test_negative_epochs_rejected(self):
+        assert TrainConfig(epochs=0).epochs == 0
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=-1)
+
     def test_metrics_json_schema(self):
         rec = MetricsRecord(epoch=3, split="val", loss=0.5, accuracy=0.75,
                             lr=0.01, wall_seconds=1.25)
