@@ -24,13 +24,33 @@ def engine_grads(f, params):
     return [p.grad for p in params]
 
 
-def taped_conv2d(xv, wv, g, kwargs):
-    """Forward values and (gx, gw) of conv2d for upstream gradient g."""
-    x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
+def taped_conv2d(xv, wv, g, kwargs, track_x=True):
+    """Forward values and (gx, gw) of conv2d for upstream gradient g.
+
+    With ``track_x=False`` the input is a constant, as the data batch under the
+    stem is, and gx is None.
+    """
+    x, w = Tensor(xv, requires_grad=track_x), Tensor(wv, requires_grad=True)
     with ComputationRecord():
         out = conv2d(x, w, **kwargs)
         backward(tz.tsum(out * Tensor(g)))
     return out.values, [x.grad, w.grad]
+
+
+def check_against_loop_grads(xv, wv, g, full, dtype, track_x, out, want, grads):
+    """Compare conv2d's output and (gx, gw) with the loop oracle; an untracked
+    input gets no gradient."""
+    want_gx, want_gw = conv2d_loop_grads(xv, wv, g, **full)
+    tol = dict(rtol=1e-12, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-5)
+    gx, gw = grads
+    assert out.dtype == dtype and gw.dtype == dtype
+    np.testing.assert_allclose(out, want, **tol)
+    np.testing.assert_allclose(gw, want_gw, **tol)
+    if track_x:
+        assert gx.dtype == dtype
+        np.testing.assert_allclose(gx, want_gx, **tol)
+    else:
+        assert gx is None
 
 
 class TestConv2dForward:
@@ -144,31 +164,35 @@ class TestDepthwise:
         return xv, wv
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("track_x", [False, True])
     @pytest.mark.parametrize("shape,k,kwargs", GEOMETRIES)
-    def test_matches_loop_oracle(self, rng, shape, k, kwargs, dtype):
+    def test_matches_loop_oracle(self, rng, shape, k, kwargs, dtype, track_x):
         xv, wv = self.inputs(rng, shape, k, dtype)
         full = {"stride": 1, "padding": 0, "dilation": 1, "groups": shape[1], **kwargs}
         want = conv2d_loop(xv, wv, **full)
         g = rng.standard_normal(want.shape).astype(dtype)
-        out, grads = taped_conv2d(xv, wv, g, {"groups": shape[1], **kwargs})
-        want_gx, want_gw = conv2d_loop_grads(xv, wv, g, **full)
-        tol = dict(rtol=1e-12, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-5)
-        assert out.dtype == dtype and all(p.dtype == dtype for p in grads)
-        np.testing.assert_allclose(out, want, **tol)
-        np.testing.assert_allclose(grads[0], want_gx, **tol)
-        np.testing.assert_allclose(grads[1], want_gw, **tol)
+        out, grads = taped_conv2d(xv, wv, g, {"groups": shape[1], **kwargs}, track_x)
+        check_against_loop_grads(xv, wv, g, full, dtype, track_x, out, want, grads)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("track_x", [False, True])
     @pytest.mark.parametrize("shape,k,kwargs", GEOMETRIES)
     def test_forward_and_input_grad_bits_match_tap_loop(self, rng, shape, k, kwargs,
-                                                        dtype):
+                                                        dtype, track_x):
         xv, wv = self.inputs(rng, shape, k, dtype)
         out_shape = conv2d(Tensor(xv), Tensor(wv), groups=shape[1], **kwargs).shape
         g = rng.standard_normal(out_shape).astype(dtype)
         want_out, want_gx = depthwise_tap_loop(xv, wv, g, **kwargs)
-        out, grads = taped_conv2d(xv, wv, g, {"groups": shape[1], **kwargs})
+        kw = {"groups": shape[1], **kwargs}
+        out, grads = taped_conv2d(xv, wv, g, kw, track_x)
         assert out.tobytes() == want_out.tobytes()
-        assert grads[0].tobytes() == want_gx.tobytes()
+        if track_x:
+            assert grads[0].tobytes() == want_gx.tobytes()
+        else:
+            # the weight gradient does not depend on whether the input is tracked
+            assert grads[0] is None
+            _, tracked = taped_conv2d(xv, wv, g, kw)
+            assert grads[1].tobytes() == tracked[1].tobytes()
 
 
 class TestGeneral:
@@ -192,20 +216,16 @@ class TestGeneral:
     ]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("track_x", [False, True])
     @pytest.mark.parametrize("shape,wshape,kwargs", GEOMETRIES)
-    def test_matches_loop_oracle(self, rng, shape, wshape, kwargs, dtype):
+    def test_matches_loop_oracle(self, rng, shape, wshape, kwargs, dtype, track_x):
         xv = rng.standard_normal(shape).astype(dtype)
         wv = rng.standard_normal(wshape).astype(dtype)
         full = {"stride": 1, "padding": 0, "dilation": 1, "groups": 1, **kwargs}
         want = conv2d_loop(xv, wv, **full)
         g = rng.standard_normal(want.shape).astype(dtype)
-        out, grads = taped_conv2d(xv, wv, g, kwargs)
-        want_gx, want_gw = conv2d_loop_grads(xv, wv, g, **full)
-        tol = dict(rtol=1e-12, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-5)
-        assert out.dtype == dtype and all(p.dtype == dtype for p in grads)
-        np.testing.assert_allclose(out, want, **tol)
-        np.testing.assert_allclose(grads[0], want_gx, **tol)
-        np.testing.assert_allclose(grads[1], want_gw, **tol)
+        out, grads = taped_conv2d(xv, wv, g, kwargs, track_x)
+        check_against_loop_grads(xv, wv, g, full, dtype, track_x, out, want, grads)
 
     # the last geometry's columns are the unpadded image itself, the same size
     @pytest.mark.parametrize("shape,wshape,kwargs", GEOMETRIES[:-1])
