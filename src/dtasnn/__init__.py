@@ -10,11 +10,10 @@ from .tensor import (
     zero_grads,
 )
 from .neuron import LifParams, lif_unroll, surrogate_values
-from .attention import DtaParams, TnaParams, TxaParams, dta
+from .attention import TnaParams, TxaParams, dta
 
 __all__ = [
     "ComputationRecord",
-    "DtaParams",
     "GeometryError",
     "LifParams",
     "RecordError",

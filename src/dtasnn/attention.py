@@ -78,7 +78,8 @@ class TnaParams:
 
     Local path: depth-wise 5x5, dilated depth-wise 7x7 (dilation 3),
     point-wise 1x1 - the large-kernel-attention decomposition. Global path:
-    squeeze/expand bottleneck with ratio r. Encode/decode are 1x1 projections
+    squeeze/expand bottleneck with ratio r, the largest of 4, 3, 2, 1 that
+    divides T*C. Encode/decode are 1x1 projections
     around the whole block; decode starts anywhere, but an all-zero decode
     reduces the block to an identity.
     """
@@ -95,11 +96,9 @@ class TnaParams:
 
     @classmethod
     def init(cls, time_steps: int, channels: int, rng: np.random.Generator,
-             ratio: int = 4, dtype=np.float32) -> "TnaParams":
+             dtype=np.float32) -> "TnaParams":
         tc = time_steps * channels
-        if ratio < 1 or tc % ratio:
-            raise ValueError(f"bottleneck ratio {ratio} does not divide {tc} fused channels")
-        hidden = tc // ratio
+        hidden = tc // next(r for r in (4, 3, 2, 1) if tc % r == 0)
         return cls(
             encode=_uniform_fan_in(rng, (tc, tc, 1, 1), tc, dtype),
             dw=_uniform_fan_in(rng, (tc, 1, K_DW, K_DW), K_DW * K_DW, dtype),
@@ -114,25 +113,6 @@ class TnaParams:
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in named_tensors(self)]
-
-
-@dataclass
-class DtaParams:
-    """Both attention branches bundled for one block."""
-
-    txa: TxaParams
-    tna: TnaParams
-
-    @classmethod
-    def init(cls, time_steps: int, channels: int, rng: np.random.Generator,
-             dtype=np.float32) -> "DtaParams":
-        return cls(
-            txa=TxaParams.init(time_steps, channels, rng, dtype=dtype),
-            tna=TnaParams.init(time_steps, channels, rng, dtype=dtype),
-        )
-
-    def parameters(self) -> list[Tensor]:
-        return self.txa.parameters() + self.tna.parameters()
 
 
 def _require_5d(x: Tensor, name: str) -> None:
@@ -196,7 +176,7 @@ def gtca(f: Tensor, p: TnaParams) -> Tensor:
     Returns a (B, TC, 1, 1) map, broadcastable over the spatial axes.
     """
     B, tc = f.shape[0], f.shape[1]
-    pooled = tz.reshape(tz.global_avg_pool(f), (B, tc))
+    pooled = tz.reshape(tz.mean(f, axes=(2, 3), keepdims=True), (B, tc))
     h = tz.relu(linear(pooled, p.mb_squeeze_w, p.mb_squeeze_b))
     h = linear(h, p.mb_expand_w, p.mb_expand_b)
     return tz.reshape(h, (B, tc, 1, 1))
@@ -218,29 +198,23 @@ def t_na(x: Tensor, p: TnaParams) -> Tensor:
     return tz.transpose(tz.reshape(out, (B, T, C, H, W)), (1, 0, 2, 3, 4))
 
 
-def dta(spikes: Tensor, txa: TxaParams | None, tna: TnaParams | None,
-        enable_txa: bool, enable_tna: bool) -> Tensor:
+def dta(spikes: Tensor, txa: TxaParams | None, tna: TnaParams | None) -> Tensor:
     """Fused gate: ``sigmoid(txa * tna) * spikes``.
 
-    A disabled branch contributes an all-ones factor; with both disabled the
-    spikes pass through untouched. The input must be binary, as produced by a
-    spiking layer.
+    A branch runs exactly when its parameters are given; a missing branch
+    contributes an all-ones factor, and with neither the spikes pass through
+    untouched. The input must be binary, as produced by a spiking layer.
     """
     _require_5d(spikes, "dta")
     sv = spikes.values
     if not np.all((sv == 0) | (sv == 1)):
         raise ValueError("dta input must be binary spikes")
-    if enable_txa and txa is None:
-        raise ValueError("cross-attention branch enabled but no parameters given")
-    if enable_tna and tna is None:
-        raise ValueError("non-identical branch enabled but no parameters given")
-    if not enable_txa and not enable_tna:
+    if txa is None and tna is None:
         return spikes
-    if enable_txa and enable_tna:
-        gate = t_xa(spikes, txa) * t_na(spikes, tna)
-    elif enable_txa:
+    if tna is None:
         gate = t_xa(spikes, txa)
-    else:
+    elif txa is None:
         gate = t_na(spikes, tna)
+    else:
+        gate = t_xa(spikes, txa) * t_na(spikes, tna)
     return tz.sigmoid(gate) * spikes
-

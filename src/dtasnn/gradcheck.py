@@ -75,6 +75,34 @@ class CheckResult:
         return self.max_error <= self.tolerance
 
 
+def conv2d_loop(x, w, stride, padding, dilation, groups):
+    """Six-nested-loop 2-D cross-correlation in float64, the conv2d forward oracle."""
+    B, C, H, W = x.shape
+    Cout, Cg, kh, kw = w.shape
+    Ho = (H + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
+    Wo = (W + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
+    xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding), dtype=np.float64)
+    xp[:, :, padding:padding + H, padding:padding + W] = x
+    out = np.zeros((B, Cout, Ho, Wo), dtype=np.float64)
+    cpg = C // groups
+    opg = Cout // groups
+    for b in range(B):
+        for co in range(Cout):
+            g = co // opg
+            for i in range(Ho):
+                for j in range(Wo):
+                    acc = 0.0
+                    for ci in range(Cg):
+                        for u in range(kh):
+                            for v in range(kw):
+                                acc += (w[co, ci, u, v]
+                                        * xp[b, g * cpg + ci,
+                                             i * stride + u * dilation,
+                                             j * stride + v * dilation])
+                    out[b, co, i, j] = acc
+    return out
+
+
 def lif_input_grad_oracle(currents: np.ndarray, p,
                           upstream: np.ndarray | None = None) -> np.ndarray:
     """Gradient of ``sum(upstream * spikes)`` w.r.t. the ``(T, ...)`` currents.
@@ -160,21 +188,26 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
     run("reshape", 1e-3, lambda: tz.tsum(tz.reshape(s, (4, 3)) * p_flat), [s])
     run("transpose", 1e-3, lambda: tz.tsum(tz.transpose(s, (1, 0)) * p_flat), [s])
 
+    def run_conv2d(name, x, w, probe_out, **geometry):
+        # central differences see only what the forward computes, so a forward
+        # error that the backward mirrors shows only against the loop oracle
+        fwd = max_relative_error(ops.conv2d(x, w, **geometry).values,
+                                 conv2d_loop(x.values, w.values, **geometry))
+        err = gradcheck(lambda: tz.tsum(ops.conv2d(x, w, **geometry) * probe_out), [x, w],
+                        flip_sign=(break_op == name))
+        results.append(CheckResult(name, max(err, fwd), 1e-3))
+
     x2 = param(2, 4, 5, 5, scale=0.5)
     w2 = param(4, 2, 3, 3, scale=0.5)
     probe2 = Tensor(rng.standard_normal((2, 4, 3, 3)), dtype=np.float64)
-    run("conv2d", 1e-3,
-        lambda: tz.tsum(ops.conv2d(x2, w2, stride=2, padding=1, groups=2) * probe2),
-        [x2, w2])
+    run_conv2d("conv2d", x2, w2, probe2, stride=2, padding=1, dilation=1, groups=2)
     # depth-wise path, stride 2 and dilation 3: five of the nine taps read
     # padding only
     xd = param(2, 3, 4, 4, scale=0.5)
     wd = param(3, 1, 3, 3, scale=0.5)
     probed = Tensor(rng.standard_normal((2, 3, 2, 2)), dtype=np.float64)
-    run("conv2d_depthwise", 1e-3,
-        lambda: tz.tsum(ops.conv2d(xd, wd, stride=2, padding=3, dilation=3,
-                                   groups=3) * probed),
-        [xd, wd])
+    run_conv2d("conv2d_depthwise", xd, wd, probed, stride=2, padding=3, dilation=3,
+               groups=3)
 
     x1 = param(1, 2, 5, scale=0.5)
     w1 = param(2, 2, 3, scale=0.5)
@@ -216,15 +249,19 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
 
     # full attention block over fixed binary spikes, grads on all parameters
     spk = Tensor((rng.random((2, 1, 2, 4, 4)) < 0.5).astype(np.float64))
-    dta_p = attention.DtaParams.init(time_steps=2, channels=2, rng=rng, dtype=np.float64)
-    for p in dta_p.parameters():
+    txa = attention.TxaParams.init(2, 2, rng, dtype=np.float64)
+    tna = attention.TnaParams.init(2, 2, rng, dtype=np.float64)
+    for p in txa.parameters() + tna.parameters():
         p.values[...] = rng.standard_normal(p.shape) * 0.3
     probe_d = Tensor(rng.standard_normal(spk.shape), dtype=np.float64)
+    run("dta_block", 1e-3, lambda: tz.tsum(attention.dta(spk, txa, tna) * probe_d),
+        txa.parameters() + tna.parameters())
 
-    def dta_loss():
-        out = attention.dta(spk, dta_p.txa, dta_p.tna, True, True)
-        return tz.tsum(out * probe_d)
-
-    run("dta_block", 1e-3, dta_loss, dta_p.parameters())
+    # point-wise path at the residual downsample's geometry: 1x1, stride 2
+    xp = param(2, 3, 5, 5, scale=0.5)
+    wp = param(4, 3, 1, 1, scale=0.5)
+    probep = Tensor(rng.standard_normal((2, 4, 3, 3)), dtype=np.float64)
+    run_conv2d("conv2d_pointwise", xp, wp, probep, stride=2, padding=0, dilation=1,
+               groups=1)
 
     return results

@@ -62,8 +62,8 @@ class NetworkSpec:
                 raise ValueError(f"invalid stage ({ch}, {blocks}, {stride})")
             if stride not in (1, 2):
                 raise ValueError(f"stage stride must be 1 or 2, got {stride}")
-        if len(self.dta_enabled) != 2:
-            raise ValueError("dta_enabled must be a (enable_txa, enable_tna) pair")
+        if len(self.dta_enabled) != 2 or not all(isinstance(v, bool) for v in self.dta_enabled):
+            raise ValueError(f"dta_enabled must be a pair of bools, got {self.dta_enabled!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
@@ -74,10 +74,9 @@ class NetworkSpec:
             stem_channels=d["stem_channels"],
             stages=tuple(tuple(s) for s in d["stages"]),
             num_classes=d["num_classes"],
-            dta_enabled=tuple(bool(v) for v in d["dta_enabled"]),
-            lif=LifParams(tau=float(lif["tau"]), v_th=float(lif["v_th"]),
-                          alpha=float(lif["alpha"]),
-                          reset_detached=bool(lif["reset_detached"])),
+            dta_enabled=tuple(d["dta_enabled"]),
+            lif=LifParams(tau=lif["tau"], v_th=lif["v_th"], alpha=lif["alpha"],
+                          reset_detached=lif["reset_detached"]),
         )
 
 
@@ -190,14 +189,6 @@ class MsBlock:
         return [self.bn1, self.bn2]
 
 
-def _pick_bottleneck_ratio(tc: int) -> int:
-    """Largest divisor of tc that is at most 4 (never less than 1)."""
-    for r in range(min(4, tc), 0, -1):
-        if tc % r == 0:
-            return r
-    return 1
-
-
 class Network:
     """A built backbone: layers, parameters, and the forward pass."""
 
@@ -208,15 +199,11 @@ class Network:
         self.stem_conv = Conv2dLayer(rng, spec.in_channels, spec.stem_channels, 3)
         self.stem_bn = BatchNorm2dLayer(spec.stem_channels)
 
+        # an absent branch has no parameters, and so does not run
         enable_txa, enable_tna = spec.dta_enabled
-        self.txa: TxaParams | None = None
-        self.tna: TnaParams | None = None
-        if enable_txa:
-            self.txa = TxaParams.init(spec.time_steps, spec.stem_channels, rng)
-        if enable_tna:
-            tc = spec.time_steps * spec.stem_channels
-            self.tna = TnaParams.init(spec.time_steps, spec.stem_channels, rng,
-                                      ratio=_pick_bottleneck_ratio(tc))
+        t, c = spec.time_steps, spec.stem_channels
+        self.txa = TxaParams.init(t, c, rng) if enable_txa else None
+        self.tna = TnaParams.init(t, c, rng) if enable_tna else None
 
         self.blocks: list[MsBlock] = []
         cin = spec.stem_channels
@@ -238,8 +225,7 @@ class Network:
         t, b = x.shape[0], x.shape[1]
         h = _unfold(self.stem_bn(self.stem_conv(_fold(x)), training), t, b)
         spikes = _spike_layer(h, spec.lif)
-        enable_txa, enable_tna = spec.dta_enabled
-        a = dta(spikes, self.txa, self.tna, enable_txa, enable_tna)
+        a = dta(spikes, self.txa, self.tna)
         for block in self.blocks:
             a = block(a, training)
         s_out = _spike_layer(a, spec.lif)

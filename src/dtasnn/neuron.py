@@ -42,6 +42,13 @@ class LifParams:
     reset_detached: bool = False
 
     def __post_init__(self):
+        # a checkpoint header's "0.5" or "false" is refused, not coerced
+        for name in ("tau", "v_th", "alpha"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{name} must be a number, got {v!r}")
+        if not isinstance(self.reset_detached, bool):
+            raise ValueError(f"reset_detached must be a bool, got {self.reset_detached!r}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
         if self.v_th <= 0.0:

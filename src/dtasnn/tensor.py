@@ -341,8 +341,9 @@ def relu(a: Tensor) -> Tensor:
     return apply_primitive((a,), out, bwd)
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, so they take the input's dtype instead of promoting it
+_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
+_INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -399,11 +400,6 @@ def tsum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, in_shape).astype(g.dtype, copy=False).copy(),)
 
     return apply_primitive((a,), out, bwd)
-
-
-def global_avg_pool(a: Tensor) -> Tensor:
-    """Mean over the two trailing spatial axes, keeping them as size 1."""
-    return mean(a, axes=(-2, -1), keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,40 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (loop nests, literal formula
-transcriptions) and shares no code with the package kernels it checks.
+transcriptions) and shares no code with the package kernels it checks. The
+conv2d loop nest lives beside the gradcheck suite, which checks every conv2d
+path's forward against it too.
 """
 
 import math
 
 import numpy as np
 
-
-def conv2d_loop(x, w, stride=1, padding=1, dilation=1, groups=1):
-    """Six-nested-loop 2-D cross-correlation in float64."""
-    B, C, H, W = x.shape
-    Cout, Cg, kh, kw = w.shape
-    Ho = (H + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
-    Wo = (W + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
-    xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding), dtype=np.float64)
-    xp[:, :, padding:padding + H, padding:padding + W] = x
-    out = np.zeros((B, Cout, Ho, Wo), dtype=np.float64)
-    cpg = C // groups
-    opg = Cout // groups
-    for b in range(B):
-        for co in range(Cout):
-            g = co // opg
-            for i in range(Ho):
-                for j in range(Wo):
-                    acc = 0.0
-                    for ci in range(Cg):
-                        for u in range(kh):
-                            for v in range(kw):
-                                acc += (w[co, ci, u, v]
-                                        * xp[b, g * cpg + ci,
-                                             i * stride + u * dilation,
-                                             j * stride + v * dilation])
-                    out[b, co, i, j] = acc
-    return out
+from dtasnn.gradcheck import conv2d_loop
 
 
 def conv2d_loop_grads(x, w, g, stride=1, padding=1, dilation=1, groups=1):
@@ -201,9 +177,9 @@ def gelu_vec_ref(x):
 def ltca_ref(f, p):
     """Depth-wise 5x5 (padding 2), depth-wise 7x7 at dilation 3 (padding 9),
     then point-wise."""
-    h = conv2d_loop(f, p.dw.values, stride=1, padding=2, groups=f.shape[1])
+    h = conv2d_loop(f, p.dw.values, stride=1, padding=2, dilation=1, groups=f.shape[1])
     h = conv2d_loop(h, p.ddw.values, stride=1, padding=9, dilation=3, groups=f.shape[1])
-    return conv2d_loop(h, p.pw.values, stride=1, padding=0)
+    return conv2d_loop(h, p.pw.values, stride=1, padding=0, dilation=1, groups=1)
 
 
 def gtca_ref(f, p):
@@ -218,9 +194,9 @@ def t_na_ref(x, p):
     """Straight-line transcription of the non-identical branch."""
     T, B, C, H, W = x.shape
     folded = x.transpose(1, 0, 2, 3, 4).reshape(B, T * C, H, W)
-    feat = gelu_vec_ref(conv2d_loop(folded, p.encode.values, stride=1, padding=0))
+    feat = gelu_vec_ref(conv2d_loop(folded, p.encode.values, 1, 0, 1, 1))
     attended = ltca_ref(feat, p) * gtca_ref(feat, p) * feat
-    out = conv2d_loop(attended, p.decode.values, stride=1, padding=0) + folded
+    out = conv2d_loop(attended, p.decode.values, 1, 0, 1, 1) + folded
     return out.reshape(B, T, C, H, W).transpose(1, 0, 2, 3, 4)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from dtasnn import tensor as tz
-from dtasnn.attention import DtaParams, dta, t_na, t_xa
+from dtasnn.attention import TnaParams, TxaParams, dta, t_na, t_xa
 from dtasnn.cli import ABLATION_ROWS, ablation_warnings, format_ablation_table, run_ablation
 from dtasnn.config import RunConfig
 from dtasnn.data import SynthSpec, gen_synthetic, load_idx, parse_cifar_records
@@ -59,18 +59,18 @@ def test_ac1_oracle_equivalence(rng):
     worst_txa = worst_tna = 0.0
     for seed in range(3):
         r = np.random.default_rng(seed)
-        dp = DtaParams.init(time_steps=2, channels=2, rng=r, dtype=np.float64)
-        for t in dp.parameters():
+        txa = TxaParams.init(2, 2, r, dtype=np.float64)
+        tna = TnaParams.init(2, 2, r, dtype=np.float64)
+        for t in txa.parameters() + tna.parameters():
             t.values[...] = r.standard_normal(t.shape) * 0.4
         xv = r.standard_normal((2, 1, 2, 4, 4))
         x = Tensor(xv, dtype=np.float64)
-        txa_got = t_xa(x, dp.txa).values
-        txa_want = oracles.t_xa_ref(xv, dp.txa.tla_kernel.values,
-                                    dp.txa.cla_kernel.values,
-                                    dp.txa.p_t.values, dp.txa.p_c.values)
+        txa_got = t_xa(x, txa).values
+        txa_want = oracles.t_xa_ref(xv, txa.tla_kernel.values, txa.cla_kernel.values,
+                                    txa.p_t.values, txa.p_c.values)
         worst_txa = max(worst_txa, float(np.abs(txa_got - txa_want).max()))
-        tna_got = t_na(x, dp.tna).values
-        worst_tna = max(worst_tna, float(np.abs(tna_got - oracles.t_na_ref(xv, dp.tna)).max()))
+        tna_got = t_na(x, tna).values
+        worst_tna = max(worst_tna, float(np.abs(tna_got - oracles.t_na_ref(xv, tna)).max()))
 
     dt = time.perf_counter() - t0
     ok = worst_lif <= 1e-6 and worst_txa <= 1e-5 and worst_tna <= 1e-5 and dt < 10.0
@@ -94,25 +94,27 @@ def test_ac2_gradient_suite():
 def test_ac3_identity_and_gate_invariants(rng):
     t0 = time.perf_counter()
     # zero-scale cross attention is an exact identity
-    p = DtaParams.init(time_steps=4, channels=5, rng=rng, dtype=np.float64)
+    txa = TxaParams.init(4, 5, rng, dtype=np.float64)
+    tna = TnaParams.init(4, 5, rng, dtype=np.float64)
     x = Tensor((rng.random((4, 5, 5, 10, 10)) < 0.4).astype(np.float64))
-    p.txa.p_t.values[...] = 0.0
-    p.txa.p_c.values[...] = 0.0
-    txa_identity = np.array_equal(t_xa(x, p.txa).values, x.values * x.values)
+    txa.p_t.values[...] = 0.0
+    txa.p_c.values[...] = 0.0
+    txa_identity = np.array_equal(t_xa(x, txa).values, x.values * x.values)
 
     # zero-decode non-identical attention is an exact identity
-    p.tna.decode.values[...] = 0.0
-    tna_identity = np.array_equal(t_na(x, p.tna).values, x.values)
+    tna.decode.values[...] = 0.0
+    tna_identity = np.array_equal(t_na(x, tna).values, x.values)
 
-    # both disabled: the spikes pass through untouched
-    disabled_identity = dta(x, None, None, False, False) is x
+    # neither branch given: the spikes pass through untouched
+    disabled_identity = dta(x, None, None) is x
 
     # gate bounds over 10^4 random probes, parameters from the module's own
     # initializer distribution (scales included)
-    p2 = DtaParams.init(time_steps=4, channels=5, rng=rng, dtype=np.float64)
-    p2.txa.p_t.values[...] = rng.uniform(-0.5, 0.5)
-    p2.txa.p_c.values[...] = rng.uniform(-0.5, 0.5)
-    out = dta(x, p2.txa, p2.tna, True, True).values
+    txa2 = TxaParams.init(4, 5, rng, dtype=np.float64)
+    tna2 = TnaParams.init(4, 5, rng, dtype=np.float64)
+    txa2.p_t.values[...] = rng.uniform(-0.5, 0.5)
+    txa2.p_c.values[...] = rng.uniform(-0.5, 0.5)
+    out = dta(x, txa2, tna2).values
     zero_gate = np.all(out[x.values == 0.0] == 0.0)
     bounded = float(np.abs(out).max()) < 1.0
 

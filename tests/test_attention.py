@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from dtasnn import tensor as tz
-from dtasnn.attention import (DtaParams, TnaParams, TxaParams, dta, gtca, local_attention,
-                              ltca, named_tensors, smp, t_na, t_xa)
+from dtasnn.attention import (TnaParams, TxaParams, dta, gtca, local_attention, ltca,
+                              named_tensors, smp, t_na, t_xa)
 from dtasnn.tensor import ComputationRecord, Tensor, backward, zero_grads
 
 import oracles
 
 
 def f64_params(time_steps, channels, rng, scale=0.3):
-    p = DtaParams.init(time_steps=time_steps, channels=channels, rng=rng,
-                       dtype=np.float64)
-    for t in p.parameters():
+    """(T-XA, T-NA) parameters in float64, redrawn from a normal of std *scale*."""
+    txa = TxaParams.init(time_steps, channels, rng, dtype=np.float64)
+    tna = TnaParams.init(time_steps, channels, rng, dtype=np.float64)
+    for t in txa.parameters() + tna.parameters():
         t.values[...] = rng.standard_normal(t.shape) * scale
-    return p
+    return txa, tna
 
 
 def binary_spikes(rng, shape, density=0.5, dtype=np.float64):
@@ -106,7 +107,7 @@ class TestTxa:
         assert t_xa(x, p).shape == (4, 2, 8, 6, 6)
 
     def test_matches_composition_oracle(self, rng):
-        p = f64_params(2, 2, rng).txa
+        p, _ = f64_params(2, 2, rng)
         xv = rng.standard_normal((2, 1, 2, 3, 3))
         got = t_xa(Tensor(xv, dtype=np.float64), p).values
         want = oracles.t_xa_ref(xv, p.tla_kernel.values, p.cla_kernel.values,
@@ -133,7 +134,7 @@ class TestTna:
         np.testing.assert_array_equal(ltca(f, p).values, 0.0)
 
     def test_ltca_matches_loop_oracle(self, rng):
-        p = f64_params(2, 2, rng).tna
+        _, p = f64_params(2, 2, rng)
         fv = rng.standard_normal((1, 4, 8, 8))
         got = ltca(Tensor(fv, dtype=np.float64), p).values
         np.testing.assert_allclose(got, oracles.ltca_ref(fv, p), atol=1e-5)
@@ -146,105 +147,115 @@ class TestTna:
         np.testing.assert_array_equal(gtca(f, p).values, 0.0)
 
     def test_gtca_identity_bottleneck_passes_constant(self, rng):
-        p = TnaParams.init(2, 2, rng, ratio=1, dtype=np.float64)
-        p.mb_squeeze_w.values[...] = np.eye(4)
+        # T*C = 5 is divisible by none of 4, 3, 2, so the bottleneck is 5 wide
+        p = TnaParams.init(1, 5, rng, dtype=np.float64)
+        p.mb_squeeze_w.values[...] = np.eye(5)
         p.mb_squeeze_b.values[...] = 0.0
-        p.mb_expand_w.values[...] = np.eye(4)
+        p.mb_expand_w.values[...] = np.eye(5)
         p.mb_expand_b.values[...] = 0.0
-        f = Tensor(np.full((2, 4, 3, 3), 2.0), dtype=np.float64)
+        f = Tensor(np.full((2, 5, 3, 3), 2.0), dtype=np.float64)
         np.testing.assert_allclose(gtca(f, p).values, 2.0, rtol=1e-12)
 
     def test_gtca_matches_matmul_oracle(self, rng):
-        p = f64_params(2, 2, rng).tna
+        _, p = f64_params(2, 2, rng)
         fv = rng.standard_normal((3, 4, 5, 5))
         got = gtca(Tensor(fv, dtype=np.float64), p).values
         np.testing.assert_allclose(got, oracles.gtca_ref(fv, p), atol=1e-7)
 
-    def test_ratio_indivisibility_rejected(self, rng):
-        with pytest.raises(ValueError, match="ratio"):
-            TnaParams.init(3, 2, rng, ratio=4)
+    @pytest.mark.parametrize("time_steps,channels,hidden",
+                             [(6, 8, 12), (4, 16, 16), (3, 2, 2), (1, 5, 5)])
+    def test_bottleneck_ratio_is_largest_divisor_up_to_four(self, rng, time_steps,
+                                                             channels, hidden):
+        p = TnaParams.init(time_steps, channels, rng)
+        tc = time_steps * channels
+        assert p.mb_squeeze_w.shape == (hidden, tc)
+        assert p.mb_squeeze_b.shape == (hidden,)
+        assert p.mb_expand_w.shape == (tc, hidden)
 
     def test_zero_decode_is_identity(self, rng):
-        p = f64_params(2, 2, rng).tna
+        _, p = f64_params(2, 2, rng)
         p.decode.values[...] = 0.0
         xv = rng.standard_normal((2, 2, 2, 4, 4))
         np.testing.assert_array_equal(t_na(Tensor(xv, dtype=np.float64), p).values, xv)
 
     def test_zero_input_bias_free_gives_zero(self, rng):
-        p = f64_params(2, 2, rng).tna
+        _, p = f64_params(2, 2, rng)
         p.mb_squeeze_b.values[...] = 0.0
         p.mb_expand_b.values[...] = 0.0
         out = t_na(Tensor(np.zeros((2, 1, 2, 4, 4), dtype=np.float64)), p)
         np.testing.assert_array_equal(out.values, 0.0)
 
     def test_matches_composition_oracle(self, rng):
-        p = f64_params(2, 2, rng).tna
+        _, p = f64_params(2, 2, rng)
         xv = rng.standard_normal((2, 1, 2, 4, 4))
         got = t_na(Tensor(xv, dtype=np.float64), p).values
         np.testing.assert_allclose(got, oracles.t_na_ref(xv, p), atol=1e-5)
 
 
 class TestDta:
-    def test_both_disabled_is_identity(self, rng):
+    def test_no_branch_parameters_is_identity(self, rng):
         x = binary_spikes(rng, (2, 1, 2, 3, 3))
-        out = dta(x, None, None, False, False)
-        assert out is x
+        assert dta(x, None, None) is x
+
+    def test_no_branch_parameters_still_rejects_non_binary_input(self, rng):
+        with pytest.raises(ValueError, match="binary"):
+            dta(Tensor(rng.standard_normal((2, 1, 2, 3, 3))), None, None)
 
     def test_zero_spikes_give_zero_output(self, rng):
-        p = f64_params(2, 2, rng)
-        out = dta(Tensor(np.zeros((2, 1, 2, 4, 4), dtype=np.float64)), p.txa, p.tna, True, True)
+        txa, tna = f64_params(2, 2, rng)
+        out = dta(Tensor(np.zeros((2, 1, 2, 4, 4), dtype=np.float64)), txa, tna)
         np.testing.assert_array_equal(out.values, 0.0)
 
     def test_gate_bounds_on_random_probes(self, rng):
         # 10^4 elements: zero where spikes are zero, strictly below 1 elsewhere
-        p = f64_params(4, 5, rng)
+        txa, tna = f64_params(4, 5, rng)
         spikes = binary_spikes(rng, (4, 5, 5, 10, 10))
-        out = dta(spikes, p.txa, p.tna, True, True).values
+        out = dta(spikes, txa, tna).values
         assert out.size == 10_000
         assert np.all(out[spikes.values == 0.0] == 0.0)
         assert np.abs(out).max() < 1.0
 
     def test_non_binary_input_rejected(self, rng):
-        p = f64_params(2, 2, rng)
+        txa, tna = f64_params(2, 2, rng)
         with pytest.raises(ValueError, match="binary"):
-            dta(Tensor(rng.standard_normal((2, 1, 2, 3, 3))), p.txa, p.tna, True, True)
+            dta(Tensor(rng.standard_normal((2, 1, 2, 3, 3))), txa, tna)
 
     @pytest.mark.parametrize("en_txa,en_tna", [(True, False), (False, True)])
     def test_single_branch_uses_plain_sigmoid_gate(self, rng, en_txa, en_tna):
-        p = f64_params(2, 2, rng)
+        txa, tna = f64_params(2, 2, rng)
         spikes = binary_spikes(rng, (2, 1, 2, 4, 4))
-        out = dta(spikes, p.txa, p.tna, en_txa, en_tna).values
-        branch = t_xa(spikes, p.txa) if en_txa else t_na(spikes, p.tna)
+        out = dta(spikes, txa if en_txa else None, tna if en_tna else None).values
+        branch = t_xa(spikes, txa) if en_txa else t_na(spikes, tna)
         want = oracles.sigmoid_ref(branch.values) * spikes.values
         np.testing.assert_allclose(out, want, rtol=1e-10)
 
     def test_matches_full_composition_oracle(self, rng):
-        p = f64_params(2, 2, rng)
+        txa, tna = f64_params(2, 2, rng)
         spikes = binary_spikes(rng, (2, 1, 2, 4, 4))
-        got = dta(spikes, p.txa, p.tna, True, True).values
-        np.testing.assert_allclose(got, oracles.dta_ref(spikes.values, p.txa, p.tna),
+        got = dta(spikes, txa, tna).values
+        np.testing.assert_allclose(got, oracles.dta_ref(spikes.values, txa, tna),
                                    atol=1e-6)
 
     def test_components_share_shape(self, rng):
-        p = f64_params(2, 2, rng)
+        txa, tna = f64_params(2, 2, rng)
         spikes = binary_spikes(rng, (2, 1, 2, 4, 4))
-        o_txa = t_xa(spikes, p.txa)
-        o_tna = t_na(spikes, p.tna)
-        o_dta = dta(spikes, p.txa, p.tna, True, True)
+        o_txa = t_xa(spikes, txa)
+        o_tna = t_na(spikes, tna)
+        o_dta = dta(spikes, txa, tna)
         assert o_txa.shape == o_tna.shape == o_dta.shape == spikes.shape
 
     def test_every_parameter_receives_nonzero_grad(self, rng):
-        p = f64_params(4, 2, rng)
-        p.tna.mb_squeeze_b.values += 0.5  # keep the bottleneck ReLU partly live
+        txa, tna = f64_params(4, 2, rng)
+        tna.mb_squeeze_b.values += 0.5  # keep the bottleneck ReLU partly live
         spikes = binary_spikes(rng, (4, 2, 2, 5, 5))
         target = Tensor(rng.standard_normal(spikes.shape), dtype=np.float64)
-        params = p.parameters()
+        params = txa.parameters() + tna.parameters()
         zero_grads(params)
         with ComputationRecord():
-            out = dta(spikes, p.txa, p.tna, True, True)
+            out = dta(spikes, txa, tna)
             err = out - target
             backward(tz.mean(err * err))
-        names = [n for n, _ in named_tensors(p.txa) + named_tensors(p.tna)]
+        names = [n for n, _ in named_tensors(txa) + named_tensors(tna)]
         assert len(names) == len(params) == 13
         for name, t in zip(names, params):
             assert t.grad is not None, f"{name} missing grad"

@@ -172,11 +172,22 @@ class TestGradcheckCommand:
         assert "conv2d" in out and "FAIL" not in out
 
     def test_fault_injection_fails(self, capsys):
-        for op in ("conv2d", "conv2d_depthwise", "lif_unroll"):
+        for op in ("conv2d", "conv2d_depthwise", "conv2d_pointwise", "lif_unroll"):
             assert main(["gradcheck", "--break", op]) == 1
             failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                       if line.endswith("FAIL")]
             assert failed == [op]
+
+    def test_forward_error_mirrored_by_backward_fails(self, capsys, monkeypatch):
+        # doubling the weight through the tape keeps every gradient consistent
+        # with the wrong forward, so only the loop oracle can catch it
+        from dtasnn import ops
+        conv2d = ops.conv2d
+        monkeypatch.setattr(ops, "conv2d", lambda x, w, **kw: conv2d(x, w * 2.0, **kw))
+        assert main(["gradcheck"]) == 1
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if line.endswith("FAIL")]
+        assert failed == ["conv2d", "conv2d_depthwise", "conv2d_pointwise"]
 
     def test_unknown_break_name_exit_2(self, capsys):
         assert main(["gradcheck", "--break", "conv2dd"]) == 2
@@ -192,7 +203,7 @@ class TestGradcheckCommand:
         assert len(names) == len(set(names))
         for expected in ("add", "sub", "mul", "sigmoid", "gelu", "relu", "mean",
                          "reshape", "transpose", "conv2d", "conv2d_depthwise",
-                         "conv1d", "linear",
+                         "conv2d_pointwise", "conv1d", "linear",
                          "batch_norm_2d", "cross_entropy", "lif_unroll", "dta_block"):
             assert expected in names
 

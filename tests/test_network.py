@@ -231,16 +231,16 @@ class TestSingleStepEquivalence:
         got = net.forward(Tensor(xv), training=False).values
 
         h = oracles.conv2d_loop(xv[0].astype(np.float64),
-                                net.stem_conv.weight.values, padding=1)
+                                net.stem_conv.weight.values, 1, 1, 1, 1)
         h = bn_eval(h, net.stem_bn)
         spikes = (h >= spec.lif.v_th).astype(np.float64)
         gated = oracles.dta_ref(spikes[None], net.txa, net.tna)[0]
         block = net.blocks[0]
         s1 = (gated >= spec.lif.v_th).astype(np.float64)
-        y = bn_eval(oracles.conv2d_loop(s1, block.conv1.weight.values, padding=1),
+        y = bn_eval(oracles.conv2d_loop(s1, block.conv1.weight.values, 1, 1, 1, 1),
                     block.bn1)
         s2 = (y >= spec.lif.v_th).astype(np.float64)
-        y = bn_eval(oracles.conv2d_loop(s2, block.conv2.weight.values, padding=1),
+        y = bn_eval(oracles.conv2d_loop(s2, block.conv2.weight.values, 1, 1, 1, 1),
                     block.bn2)
         a = y + gated
         s_out = (a >= spec.lif.v_th).astype(np.float64)
@@ -397,6 +397,29 @@ class TestCheckpoint:
                         build(TINY, seed=0).state_arrays())
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("override, field", [
+        ({"dta_enabled": [1, "yes"]}, "dta_enabled"),
+        ({"dta_enabled": [True, "false"]}, "dta_enabled"),
+        ({"lif": {**asdict(LifParams()), "reset_detached": "false"}}, "reset_detached"),
+        ({"lif": {**asdict(LifParams()), "reset_detached": 0}}, "reset_detached"),
+        ({"lif": {**asdict(LifParams()), "tau": "0.5"}}, "tau"),
+        ({"lif": {**asdict(LifParams()), "v_th": True}}, "v_th"),
+        ({"lif": {**asdict(LifParams()), "alpha": None}}, "alpha"),
+    ])
+    def test_coercible_flags_and_constants_rejected(self, tmp_path, override, field):
+        # a CRC-valid header whose values bool() or float() would accept
+        path = tmp_path / "net.dtasnn"
+        container.write(path, {**asdict(TINY), **override},
+                        build(TINY, seed=0).state_arrays())
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
+
+    def test_integer_lif_constant_loads(self, tmp_path):
+        path = tmp_path / "net.dtasnn"
+        header = {**asdict(TINY), "lif": {**asdict(TINY.lif), "v_th": 1}}
+        container.write(path, header, build(TINY, seed=0).state_arrays())
+        assert spec_mismatch(load_checkpoint(path).spec, TINY) is None
 
     @pytest.mark.parametrize("save, load, error, field", [
         pytest.param(save_tiny_fixture, load_checkpoint, CheckpointError, "in_channels",

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import os
 import weakref
 from dataclasses import replace
 
@@ -9,12 +10,13 @@ import numpy as np
 import pytest
 
 from dtasnn import training
+from dtasnn.config import load_config
 from dtasnn.data import SynthSpec, gen_synthetic
 from dtasnn.network import NetworkSpec, build, load_checkpoint
 from dtasnn.neuron import LifParams
 from dtasnn.training import (MetricsRecord, NumericsError, TrainConfig,
                              clip_gradients, cosine_lr, cross_entropy, evaluate,
-                             sgd_step, train)
+                             sgd_step, stack_batch, train)
 from dtasnn.tensor import ComputationRecord, Tensor, backward
 
 from oracles import fd_grad
@@ -23,6 +25,18 @@ TINY_NET = NetworkSpec(time_steps=4, in_channels=2, stem_channels=4,
                        stages=((4, 1, 1),), num_classes=2,
                        lif=LifParams())
 TINY_DATA = SynthSpec(classes=2, time_steps=4, channels=2, height=6, width=6, seed=5)
+
+
+def test_desk_step_keeps_every_gradient_float32():
+    # one float64 scalar in a backward rule promotes every gradient upstream
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                   "synthetic.cfg"))
+    net = build(cfg.network_spec(), seed=0)
+    x, labels = stack_batch(gen_synthetic(cfg.synth_spec(0), 8))
+    with ComputationRecord():
+        backward(cross_entropy(net.forward(x, training=True), labels))
+    dtypes = {n: None if p.grad is None else p.grad.dtype for n, p in net.named_parameters()}
+    assert {n: d for n, d in dtypes.items() if d != np.float32} == {}
 
 
 class TestCrossEntropy:
