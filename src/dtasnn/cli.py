@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .data import FormatError, Sample, augment, direct_code, gen_synthetic, load_cifar10_binary, load_idx, save_synthetic
-from .gradcheck import run_suite
+from .gradcheck import CHECK_NAMES, run_suite
 from .network import CheckpointError, build, load_checkpoint, spec_mismatch
 from .ops import MissingStatisticsError
 from .training import NumericsError, evaluate, train
@@ -112,11 +112,10 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, break_op: str | None) -> int:
-    results = run_suite(break_op=break_op, seed=cfg.seed)
-    names = [r.name for r in results]
-    if break_op is not None and break_op not in names:
+    if break_op is not None and break_op not in CHECK_NAMES:
         raise ConfigError(f"unknown --break name {break_op!r}; valid names: "
-                          f"{', '.join(names)}")
+                          f"{', '.join(CHECK_NAMES)}")
+    results = run_suite(break_op=break_op, seed=cfg.seed)
     failed = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -17,6 +17,13 @@ from .tensor import ComputationRecord, Tensor, backward, zero_grads
 
 FD_STEP = 1e-3
 
+# the entries of run_suite, in the order it reports them; each is also a valid
+# ``break_op``
+CHECK_NAMES = ("add", "sub", "mul", "sigmoid", "gelu", "relu", "mean", "reshape",
+               "transpose", "conv2d", "conv2d_depthwise", "conv1d", "linear",
+               "batch_norm_2d", "cross_entropy", "lif_unroll", "dta_block",
+               "conv2d_pointwise")
+
 
 def numerical_grad(f: Callable[[], Tensor], t: Tensor) -> np.ndarray:
     """Central-difference gradient of the scalar ``f()`` w.r.t. ``t.values``."""

@@ -7,10 +7,12 @@ zero-padded input with one matmul. The general kernel is an implicit GEMM
 copies the input once into a zero-padded channels-last grid, split into
 stride x stride phases, and runs one accumulating matmul per kernel tap and
 group over a shifted block of that grid's rows, so no im2col column matrix is
-built or kept for the backward. The depth-wise kernel works channels-last on
-the unpadded input, one in-image rectangle per kernel tap. Every kernel
-visits its taps in a fixed order, so results are deterministic for a fixed
-BLAS thread count.
+built or kept for the backward. The depth-wise kernel is the Toeplitz
+lowering of Chellapilla et al. ("High Performance Convolutional Neural
+Networks for Document Processing", 2006) applied per channel: each kernel row
+is a banded matrix along the width, and one batched matmul per kernel row
+applies it to every in-image input row. Every kernel visits its taps or rows
+in a fixed order, so results are deterministic for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ def _pad_hw(a: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(a, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def _channels_last(a: np.ndarray) -> np.ndarray:
-    """(B, C, H, W) to a contiguous (B, H, W, C) copy."""
-    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+def _rows_first(a: np.ndarray) -> np.ndarray:
+    """(B, C, H, W) to a contiguous (C, H, B, W) copy."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0, 3))
 
 
 def _tap_span(offset: int, n_in: int, n_out: int, stride: int):
@@ -123,7 +125,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
 
     ``groups=Cin`` with single-channel kernels gives a depth-wise convolution,
     1x1 kernels give a point-wise one, and ``dilation > 1`` spreads the taps.
-    Three kernel paths (point-wise matmul, depth-wise tap loop, general
+    Three kernel paths (point-wise matmul, depth-wise banded GEMM, general
     implicit GEMM) share one contract and are oracle-tested against a naive
     loop nest.
 
@@ -137,10 +139,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     (about the size of the padded input) and, for a constant input such as a
     data batch, returns no input gradient.
 
-    The depth-wise path runs in (B, H, W, C) layout, so every numpy inner loop
-    spans the C channels. For each tap it visits only the output rectangle
-    whose inputs lie inside the image and skips taps that read padding alone;
-    it builds no padded copy and its node keeps only the input and weights.
+    The depth-wise path turns kernel row u of channel c into the banded
+    (W, Wo) matrix ``band[c, u]`` holding ``w[c, 0, u, v]`` at
+    ``(wo * stride + v * dilation - padding, wo)``; columns that would read
+    padding stay zero. In (C, H, B, W) layout the rows of one kernel row's
+    in-image span are a (C, rows * B, W) view, so the forward is one batched
+    matmul per kernel row, ``out[:, ro] += x[:, ri] @ band[:, u]``. The
+    backward uses the same matrices: ``gx[:, ri] += g[:, ro] @ band[:, u].T``,
+    and the weight gradient is the band entries of ``x[:, ri].T @ g[:, ro]``.
+    It builds no padded copy; its node keeps the input, the weights and the
+    band matrices, and re-lays the input in the backward.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weight, got {x.shape} and {w.shape}")
@@ -186,36 +194,45 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             return gx, gw
 
     elif groups == C and Cg == 1 and Cout == C:
-        # depth-wise, channels-last: per tap, multiply-accumulate the output
-        # rectangle whose inputs lie in the image, in (u, v) order
-        taps = []
-        for u in range(kh):
-            rows = _tap_span(u * dilation - padding, H, Ho, stride)
-            for v in range(kw):
-                cols = _tap_span(v * dilation - padding, W, Wo, stride)
-                if rows is not None and cols is not None:
-                    taps.append((u, v, rows, cols))
-        out_l = np.zeros((B, Ho, Wo, C), dtype=xv.dtype)
-        buf = np.empty_like(out_l)
-        x_l = _channels_last(xv)
-        for u, v, (ro, ri, nr), (co, ci, nc) in taps:
-            acc = buf[:, :nr, :nc]
-            np.multiply(x_l[:, ri, ci], wv[:, 0, u, v], out=acc)
-            out_l[:, ro, co] += acc
-        out = np.ascontiguousarray(out_l.transpose(0, 3, 1, 2))
+        # depth-wise: kernel row u is one banded (W, Wo) matrix per channel,
+        # band[c, u][wo * stride + v * dilation - padding, wo] = w[c, 0, u, v],
+        # applied to all in-image rows of the (C, H, B, W) input at once
+        wo, v = np.meshgrid(np.arange(Wo), np.arange(kw), indexing="ij")
+        wi = wo * stride + v * dilation - padding
+        inside = (wi >= 0) & (wi < W)
+        wo, v, wi = wo[inside], v[inside], wi[inside]
+        band = np.zeros((C, kh, W, Wo), dtype=xv.dtype)
+        band[:, :, wi, wo] = wv[:, 0][:, :, v]
+        rows = [(u, span) for u in range(kh)
+                if (span := _tap_span(u * dilation - padding, H, Ho, stride)) is not None]
+
+        def row_block(a, rs, nr):
+            # rows rs of a (C, H, B, W) array as (C, nr * B, W): a view when
+            # rs is contiguous
+            return a[:, rs].reshape(C, nr * B, a.shape[3])
+
+        x_r = _rows_first(xv)
+        out_r = np.zeros((C, Ho, B, Wo), dtype=xv.dtype)
+        for u, (ro, ri, nr) in rows:
+            row_block(out_r, ro, nr)[...] += np.matmul(row_block(x_r, ri, nr), band[:, u])
+        out = np.ascontiguousarray(out_r.transpose(2, 0, 1, 3))
 
         def bwd(g):
-            x_l, g_l = _channels_last(xv), _channels_last(g)
-            gw = np.zeros_like(wv)
-            gx_l = np.zeros_like(x_l)
-            scratch = np.empty_like(g_l)
-            for u, v, (ro, ri, nr), (co, ci, nc) in taps:
-                g_tap = g_l[:, ro, co]
-                gw[:, 0, u, v] = np.einsum("bhwc,bhwc->c", g_tap, x_l[:, ri, ci])
-                acc = scratch[:, :nr, :nc]
-                np.multiply(g_tap, wv[:, 0, u, v], out=acc)
-                gx_l[:, ri, ci] += acc
-            return np.ascontiguousarray(gx_l.transpose(0, 3, 1, 2)), gw
+            # input gradient: g @ band[c, u].T per row; weight gradient: the
+            # band entries of the per-channel x.T @ g over each row's (h, b)
+            x_r, g_r = _rows_first(xv), _rows_first(g)
+            gx_r = np.zeros_like(x_r)
+            # contiguous band transposes: a transposed matmul operand costs
+            # more than this copy
+            band_t = np.ascontiguousarray(band.transpose(0, 1, 3, 2))
+            x_g = np.zeros((C, kh, W, Wo), dtype=xv.dtype)
+            for u, (ro, ri, nr) in rows:
+                g_rows = row_block(g_r, ro, nr)
+                x_g[:, u] = np.matmul(row_block(x_r, ri, nr).transpose(0, 2, 1), g_rows)
+                gx_r[:, ri] += np.matmul(g_rows, band_t[:, u]).reshape(C, nr, B, W)
+            gw = np.zeros((C, 1, kh, kw), dtype=wv.dtype)
+            np.add.at(gw[:, 0], (slice(None), slice(None), v), x_g[:, :, wi, wo])
+            return np.ascontiguousarray(gx_r.transpose(2, 0, 1, 3)), gw
 
     else:
         # general (possibly grouped): implicit GEMM over the padded phase grid;

@@ -42,39 +42,6 @@ def conv2d_loop_grads(x, w, g, stride=1, padding=1, dilation=1, groups=1):
     return gxp[:, :, padding:padding + H, padding:padding + W], gw
 
 
-def depthwise_tap_loop(x, w, g, stride=1, padding=0, dilation=1):
-    """Forward output and input gradient of the padded NCHW depth-wise tap loop.
-
-    A copy of the kernel the channels-last one replaced: one scaled, shifted
-    slice of the zero-padded input per tap, in (u, v) order, and the input
-    gradient scattered per tap into a padded buffer and cropped. The
-    channels-last kernel keeps these float ops in this order, so its forward
-    and input gradient must match these bits exactly.
-    """
-    B, C, H, W = x.shape
-    kh, kw = w.shape[2:]
-    Ho = (H + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
-    Wo = (W + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-    def tap(arr, u, v):
-        return arr[:, :,
-                   u * dilation:u * dilation + stride * Ho:stride,
-                   v * dilation:v * dilation + stride * Wo:stride]
-
-    out = np.zeros((B, C, Ho, Wo), dtype=x.dtype)
-    buf = np.empty_like(out)
-    gxp = np.zeros_like(xp)
-    scratch = np.empty_like(g)
-    for u in range(kh):
-        for v in range(kw):
-            np.multiply(tap(xp, u, v), w[:, 0, u, v][None, :, None, None], out=buf)
-            out += buf
-            np.multiply(g, w[:, 0, u, v][None, :, None, None], out=scratch)
-            tap(gxp, u, v)[...] += scratch
-    return out, gxp[:, :, padding:padding + H, padding:padding + W]
-
-
 def conv1d_loop(x, w, padding):
     """Hand cross-correlation over (B, S, L) with (S_out, S, k)."""
     B, S, L = x.shape

@@ -8,6 +8,7 @@ import numpy as np
 from dtasnn import container
 from dtasnn.cli import main
 from dtasnn.data import load_synthetic
+from dtasnn.gradcheck import CHECK_NAMES
 from dtasnn.network import CheckpointError, load_checkpoint
 
 FAST = ["--batch_size", "16", "--epochs", "2", "--time_steps", "4",
@@ -196,6 +197,16 @@ class TestGradcheckCommand:
         assert "conv2dd" in captured.err
         assert "conv2d_depthwise" in captured.err and "lif_unroll" in captured.err
 
+    def test_unknown_break_name_rejected_before_any_check(self, capsys, monkeypatch):
+        from dtasnn import gradcheck
+        calls = []
+        check = gradcheck.gradcheck
+        monkeypatch.setattr(gradcheck, "gradcheck",
+                            lambda *a, **kw: calls.append(a) or check(*a, **kw))
+        assert main(["gradcheck", "--break", "nope"]) == 2
+        assert calls == []
+        assert "nope" in capsys.readouterr().err
+
     def test_each_operation_listed_once(self, capsys):
         main(["gradcheck"])
         names = [line.split()[0] for line in capsys.readouterr().out.splitlines()
@@ -206,6 +217,8 @@ class TestGradcheckCommand:
                          "conv2d_pointwise", "conv1d", "linear",
                          "batch_norm_2d", "cross_entropy", "lif_unroll", "dta_block"):
             assert expected in names
+        # the names --break is checked against are the suite's, in its order
+        assert names == list(CHECK_NAMES)
 
 
 class TestSynthDataCommand:
