@@ -196,6 +196,22 @@ class TestDepthwise:
         assert untracked[0] is None
         assert untracked[1].tobytes() == tracked[1].tobytes()
 
+    @pytest.mark.parametrize("shape,k,kwargs", GEOMETRIES, ids=kernel_id)
+    def test_node_keeps_input_weights_and_bands_only(self, rng, shape, k, kwargs):
+        # the backward re-lays the input itself: no second copy is held
+        xv, wv = self.inputs(rng, shape, k, np.float64)
+        x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
+        with ComputationRecord() as rec:
+            out = conv2d(x, w, groups=shape[1], **kwargs)
+            (node,) = rec.nodes
+        held = [c.cell_contents for c in node.backward_fn.__closure__]
+        floats = [a for a in held if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+        assert any(a is x.values for a in floats)
+        assert any(a is w.values for a in floats)
+        others = [a.shape for a in floats if a is not x.values and a is not w.values]
+        C, W = shape[1], shape[3]
+        assert others == [(C, k[0], W, out.shape[3])]
+
 
 class TestGeneral:
     """The implicit-GEMM path: every conv2d that is neither point-wise nor
