@@ -85,8 +85,8 @@ class TnaParams:
     """
 
     encode: Tensor       # (TC, TC, 1, 1)
-    dw: Tensor           # (TC, 1, K_DW, K_DW), groups=TC
-    ddw: Tensor          # (TC, 1, K_DDW, K_DDW), groups=TC, dilated
+    dw: Tensor           # (TC, 1, K_DW, K_DW), depth-wise
+    ddw: Tensor          # (TC, 1, K_DDW, K_DDW), depth-wise, dilated
     pw: Tensor           # (TC, TC, 1, 1)
     mb_squeeze_w: Tensor  # (TC/r, TC)
     mb_squeeze_b: Tensor
@@ -164,9 +164,8 @@ def ltca(f: Tensor, p: TnaParams) -> Tensor:
 
     All three convolutions are padded to preserve the spatial extents.
     """
-    tc = f.shape[1]
-    h = conv2d(f, p.dw, padding=(K_DW - 1) // 2, groups=tc)
-    h = conv2d(h, p.ddw, padding=DILATION * (K_DDW - 1) // 2, dilation=DILATION, groups=tc)
+    h = conv2d(f, p.dw, padding=(K_DW - 1) // 2)
+    h = conv2d(h, p.ddw, padding=DILATION * (K_DDW - 1) // 2, dilation=DILATION)
     return conv2d(h, p.pw)
 
 

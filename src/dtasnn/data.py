@@ -200,6 +200,16 @@ def _read_header(fh, nbytes: int, path) -> bytes:
     return raw
 
 
+def _read_payload(fh, nbytes: int, path, what: str) -> bytes:
+    """The *nbytes* a header declares, checked against the bytes left in the
+    file before any buffer of that size is allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > left:
+        raise FormatError(f"{path}: truncated {what} (header declares {nbytes} "
+                          f"bytes, {left} remain)")
+    return fh.read(nbytes)
+
+
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Grayscale images in [0, 1] (N, 1, H, W) plus labels from IDX files."""
     with open(images_path, "rb") as fh:
@@ -207,9 +217,7 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError(f"{images_path}: bad magic {magic:#010x}, "
                               f"expected {IDX_IMAGES_MAGIC:#010x}")
-        buf = fh.read(n * h * w)
-    if len(buf) != n * h * w:
-        raise FormatError(f"{images_path}: truncated pixel data")
+        buf = _read_payload(fh, n * h * w, images_path, "pixel data")
     images = np.frombuffer(buf, dtype=np.uint8).reshape(n, 1, h, w).astype(np.float32) / 255.0
 
     with open(labels_path, "rb") as fh:
@@ -217,9 +225,7 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
         if magic != IDX_LABELS_MAGIC:
             raise FormatError(f"{labels_path}: bad magic {magic:#010x}, "
                               f"expected {IDX_LABELS_MAGIC:#010x}")
-        lab = fh.read(n_lab)
-    if len(lab) != n_lab:
-        raise FormatError(f"{labels_path}: truncated label data")
+        lab = _read_payload(fh, n_lab, labels_path, "label data")
     if n_lab != n:
         raise FormatError(f"{n} images but {n_lab} labels")
     labels = np.frombuffer(lab, dtype=np.uint8).astype(np.int64)

@@ -82,8 +82,12 @@ class CheckResult:
         return self.max_error <= self.tolerance
 
 
-def conv2d_loop(x, w, stride, padding, dilation, groups):
-    """Six-nested-loop 2-D cross-correlation in float64, the conv2d forward oracle."""
+def conv2d_loop(x, w, stride, padding, dilation):
+    """Six-nested-loop 2-D cross-correlation in float64, the conv2d forward oracle.
+
+    The channel grouping comes from the weight shape, as in ``ops.conv2d``:
+    ``C // Cg`` groups of input channels.
+    """
     B, C, H, W = x.shape
     Cout, Cg, kh, kw = w.shape
     Ho = (H + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
@@ -91,8 +95,7 @@ def conv2d_loop(x, w, stride, padding, dilation, groups):
     xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding), dtype=np.float64)
     xp[:, :, padding:padding + H, padding:padding + W] = x
     out = np.zeros((B, Cout, Ho, Wo), dtype=np.float64)
-    cpg = C // groups
-    opg = Cout // groups
+    opg = Cout // (C // Cg)
     for b in range(B):
         for co in range(Cout):
             g = co // opg
@@ -103,7 +106,7 @@ def conv2d_loop(x, w, stride, padding, dilation, groups):
                         for u in range(kh):
                             for v in range(kw):
                                 acc += (w[co, ci, u, v]
-                                        * xp[b, g * cpg + ci,
+                                        * xp[b, g * Cg + ci,
                                              i * stride + u * dilation,
                                              j * stride + v * dilation])
                     out[b, co, i, j] = acc
@@ -204,17 +207,17 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
                         flip_sign=(break_op == name))
         results.append(CheckResult(name, max(err, fwd), 1e-3))
 
+    # general path: a dense weight at stride 2 with padding 1
     x2 = param(2, 4, 5, 5, scale=0.5)
-    w2 = param(4, 2, 3, 3, scale=0.5)
-    probe2 = Tensor(rng.standard_normal((2, 4, 3, 3)), dtype=np.float64)
-    run_conv2d("conv2d", x2, w2, probe2, stride=2, padding=1, dilation=1, groups=2)
+    w2 = param(3, 4, 3, 3, scale=0.5)
+    probe2 = Tensor(rng.standard_normal((2, 3, 3, 3)), dtype=np.float64)
+    run_conv2d("conv2d", x2, w2, probe2, stride=2, padding=1, dilation=1)
     # depth-wise path, stride 2 and dilation 3: five of the nine taps read
     # padding only
     xd = param(2, 3, 4, 4, scale=0.5)
     wd = param(3, 1, 3, 3, scale=0.5)
     probed = Tensor(rng.standard_normal((2, 3, 2, 2)), dtype=np.float64)
-    run_conv2d("conv2d_depthwise", xd, wd, probed, stride=2, padding=3, dilation=3,
-               groups=3)
+    run_conv2d("conv2d_depthwise", xd, wd, probed, stride=2, padding=3, dilation=3)
 
     x1 = param(1, 2, 5, scale=0.5)
     w1 = param(2, 2, 3, scale=0.5)
@@ -268,7 +271,6 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
     xp = param(2, 3, 5, 5, scale=0.5)
     wp = param(4, 3, 1, 1, scale=0.5)
     probep = Tensor(rng.standard_normal((2, 4, 3, 3)), dtype=np.float64)
-    run_conv2d("conv2d_pointwise", xp, wp, probep, stride=2, padding=0, dilation=1,
-               groups=1)
+    run_conv2d("conv2d_pointwise", xp, wp, probep, stride=2, padding=0, dilation=1)
 
     return results

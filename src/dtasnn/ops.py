@@ -1,18 +1,19 @@
 """Convolution, affine, and normalization primitives.
 
 All convolutions use cross-correlation semantics (no kernel flip). conv2d
-has three kernel paths. The point-wise kernel contracts a strided view of the
-zero-padded input with one matmul. The general kernel is an implicit GEMM
-(Chetlur et al., "cuDNN: Efficient Primitives for Deep Learning", 2014): it
-copies the input once into a zero-padded channels-last grid, split into
-stride x stride phases, and runs one accumulating matmul per kernel tap and
-group over a shifted block of that grid's rows, so no im2col column matrix is
-built or kept for the backward. The depth-wise kernel is the Toeplitz
-lowering of Chellapilla et al. ("High Performance Convolutional Neural
-Networks for Document Processing", 2006) applied per channel: each kernel row
-is a banded matrix along the width, and one batched matmul per kernel row
-applies it to every in-image input row. Every kernel visits its taps or rows
-in a fixed order, so results are deterministic for a fixed BLAS thread count.
+runs dense and depth-wise weights and has three kernel paths. The point-wise
+kernel (1x1, no padding) is one batched matmul per image over the strided
+input. The general kernel is an implicit GEMM (Chetlur et al., "cuDNN:
+Efficient Primitives for Deep Learning", 2014): it copies the input once into
+a zero-padded channels-last grid, split into stride x stride phases, and runs
+one accumulating matmul per kernel tap over a shifted block of that grid's
+rows, so no im2col column matrix is built or kept for the backward. The
+depth-wise kernel is the Toeplitz lowering of Chellapilla et al. ("High
+Performance Convolutional Neural Networks for Document Processing", 2006)
+applied per channel: each kernel row is a banded matrix along the width, and
+one batched matmul per kernel row applies it to every in-image input row.
+Every kernel visits its taps or rows in a fixed order, so results are
+deterministic for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -34,13 +35,6 @@ BN_EPS = 1e-5
 
 class MissingStatisticsError(RuntimeError):
     """Eval-mode batch norm ran before any training batch recorded statistics."""
-
-
-def _pad_hw(a: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the two trailing axes of (B, C, H, W) by *padding* each side."""
-    if padding == 0:
-        return a
-    return np.pad(a, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
 def _rows_first(a: np.ndarray) -> np.ndarray:
@@ -93,51 +87,53 @@ def _phase_spans(H: int, W: int, Hq: int, Wq: int, padding: int, stride: int):
     return spans
 
 
-def _to_phases(a: np.ndarray, spans, groups: int, Hq: int, Wq: int, stride: int,
+def _to_phases(a: np.ndarray, spans, Hq: int, Wq: int, stride: int,
                dtype) -> np.ndarray:
-    """(B, C, H, W) to its zero-padded phases, (s, s, G, B*Hq*Wq, C/G)."""
+    """(B, C, H, W) to its zero-padded phases, (s, s, B*Hq*Wq, C)."""
     B, C = a.shape[:2]
-    Cg = C // groups
-    grid = np.zeros((stride, stride, groups, B, Hq, Wq, Cg), dtype=dtype)
+    grid = np.zeros((stride, stride, B, Hq, Wq, C), dtype=dtype)
     for p, q, (ro, ri, nr), (co, ci, nc) in spans:
-        grid[p, q, :, :, ro, co] = (
-            a[:, :, ri, ci].reshape(B, groups, Cg, nr, nc).transpose(1, 0, 3, 4, 2))
-    return grid.reshape(stride, stride, groups, B * Hq * Wq, Cg)
+        grid[p, q, :, ro, co] = a[:, :, ri, ci].transpose(0, 2, 3, 1)
+    return grid.reshape(stride, stride, B * Hq * Wq, C)
 
 
 def _from_phases(ph: np.ndarray, spans, shape: tuple, Hq: int, Wq: int,
                  dtype) -> np.ndarray:
     """Inverse of :func:`_to_phases`: the in-image part, back to (B, C, H, W)."""
     B, C, H, W = shape
-    stride, _, groups, _, Cg = ph.shape
-    grid = ph.reshape(stride, stride, groups, B, Hq, Wq, Cg)
+    grid = ph.reshape(*ph.shape[:2], B, Hq, Wq, C)
     out = np.empty(shape, dtype=dtype)
     # the phases partition the padded grid, so every pixel is written once
     for p, q, (ro, ri, nr), (co, ci, nc) in spans:
-        out[:, :, ri, ci] = grid[p, q, :, :, ro, co].transpose(1, 0, 4, 2, 3).reshape(
-            B, C, nr, nc)
+        out[:, :, ri, ci] = grid[p, q, :, ro, co].transpose(0, 3, 1, 2)
     return out
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
-           dilation: int = 1, groups: int = 1) -> Tensor:
-    """Bias-free 2-D cross-correlation over (B, Cin, H, W) with (Cout, Cin/g, kh, kw).
+           dilation: int = 1) -> Tensor:
+    """Bias-free 2-D cross-correlation of (B, C, H, W) with a dense or depth-wise weight.
 
-    ``groups=Cin`` with single-channel kernels gives a depth-wise convolution,
-    1x1 kernels give a point-wise one, and ``dilation > 1`` spreads the taps.
+    The weight's shape sets the kind: (Cout, C, kh, kw) is dense, and
+    (C, 1, kh, kw) with C > 1 is depth-wise (one kernel per channel). Any other
+    weight raises :class:`ShapeError`. ``dilation > 1`` spreads the taps.
     Three kernel paths (point-wise matmul, depth-wise banded GEMM, general
     implicit GEMM) share one contract and are oracle-tested against a naive
     loop nest.
 
-    The general path pads the input once into a channels-last grid and splits
-    it into ``stride x stride`` phases of ``Hq x Wq`` positions,
-    ``Hq = ceil((H + 2 * padding) / stride)``. Tap (u, v) reads phase
-    ``(u * dilation % stride, v * dilation % stride)`` at a constant row shift
-    of ``(u * dilation // stride) * Wq + v * dilation // stride``, so it is one
-    matmul per group over contiguous rows, accumulated into an output on the
-    same grid that is cropped to (Ho, Wo). Its node keeps the phase grid
-    (about the size of the padded input) and, for a constant input such as a
-    data batch, returns no input gradient.
+    The point-wise path (a dense 1x1 weight with no padding) multiplies the
+    (Cout, C) weight into a contiguous copy of ``x[:, :, ::stride, ::stride]``,
+    one batched matmul over the images in NCHW layout. Its backward is two
+    batched matmuls; at stride 2 the input gradient is scattered into zeros.
+
+    The general path (every other dense weight) pads the input once into a
+    channels-last grid and splits it into ``stride x stride`` phases of
+    ``Hq x Wq`` positions, ``Hq = ceil((H + 2 * padding) / stride)``. Tap
+    (u, v) reads phase ``(u * dilation % stride, v * dilation % stride)`` at a
+    constant row shift of ``(u * dilation // stride) * Wq + v * dilation //
+    stride``, so it is one matmul over contiguous rows, accumulated into an
+    output on the same grid that is cropped to (Ho, Wo). Its node keeps the
+    phase grid (about the size of the padded input) and, for a constant input
+    such as a data batch, returns no input gradient.
 
     The depth-wise path turns kernel row u of channel c into the banded
     (W, Wo) matrix ``band[c, u]`` holding ``w[c, 0, u, v]`` at
@@ -154,10 +150,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         raise ShapeError(f"conv2d expects 4-D input and weight, got {x.shape} and {w.shape}")
     B, C, H, W = x.shape
     Cout, Cg, kh, kw = w.shape
-    if C % groups or Cout % groups:
-        raise ShapeError(f"channels ({C} in, {Cout} out) not divisible by groups={groups}")
-    if Cg != C // groups:
-        raise ShapeError(f"weight expects {Cg} channels per group, input provides {C // groups}")
+    if Cg != C and not (Cg == 1 and Cout == C):
+        raise ShapeError(
+            f"conv2d weight {w.shape} fits a {C}-channel input neither as dense "
+            f"(Cout, {C}, kh, kw) nor as depth-wise ({C}, 1, kh, kw)")
     Ho = (H + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
     Wo = (W + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
     if Ho < 1 or Wo < 1:
@@ -167,33 +163,24 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
 
     xv, wv = x.values, w.values
 
-    def tap(arr, u, v):
-        return arr[:, :,
-                   u * dilation:u * dilation + stride * Ho:stride,
-                   v * dilation:v * dilation + stride * Wo:stride]
-
-    def crop(gxp):
-        return gxp[:, :, padding:padding + H, padding:padding + W]
-
-    if kh == 1 and kw == 1 and groups == 1:
-        # point-wise: one matmul over channels
-        xp = _pad_hw(xv, padding)
-        xs = tap(xp, 0, 0)
+    if Cg == C and kh == kw == 1 and padding == 0:
+        # point-wise: (Cout, C) @ (C, Ho * Wo) for every image at once
+        xs = np.ascontiguousarray(xv[:, :, ::stride, ::stride]).reshape(B, C, Ho * Wo)
         w2 = wv[:, :, 0, 0]
-        out = np.moveaxis(np.tensordot(w2, xs, axes=([1], [1])), 0, 1)
+        out = np.matmul(w2, xs).reshape(B, Cout, Ho, Wo)
 
         def bwd(g):
-            gxs = np.moveaxis(np.tensordot(w2, g, axes=([0], [1])), 0, 1)
-            if padding == 0 and stride == 1:
+            g3 = g.reshape(B, Cout, Ho * Wo)
+            gxs = np.matmul(w2.T, g3).reshape(B, C, Ho, Wo)
+            if stride == 1:
                 gx = gxs
             else:
-                gxp = np.zeros_like(xp)
-                tap(gxp, 0, 0)[...] = gxs
-                gx = crop(gxp)
-            gw = np.tensordot(g, xs, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None]
+                gx = np.zeros((B, C, H, W), dtype=xs.dtype)
+                gx[:, :, ::stride, ::stride] = gxs
+            gw = np.matmul(g3, xs.transpose(0, 2, 1)).sum(axis=0)[:, :, None, None]
             return gx, gw
 
-    elif groups == C and Cg == 1 and Cout == C:
+    elif Cg != C:
         # depth-wise: kernel row u is one banded (W, Wo) matrix per channel,
         # band[c, u][wo * stride + v * dilation - padding, wo] = w[c, 0, u, v],
         # applied to all in-image rows of the (C, H, B, W) input at once
@@ -235,44 +222,38 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             return np.ascontiguousarray(gx_r.transpose(2, 0, 1, 3)), gw
 
     else:
-        # general (possibly grouped): implicit GEMM over the padded phase grid;
-        # grid positions past (Ho, Wo) read wrapped rows and are cropped
-        Og = Cout // groups
+        # general: implicit GEMM over the padded phase grid; grid positions
+        # past (Ho, Wo) read wrapped rows and are cropped
         Hq = -(-(H + 2 * padding) // stride)
         Wq = -(-(W + 2 * padding) // stride)
         N = B * Hq * Wq
         dtype = np.result_type(xv, wv)
         spans = _phase_spans(H, W, Hq, Wq, padding, stride)
-        phases = _to_phases(xv, spans, groups, Hq, Wq, stride, dtype)
-        # (kh, kw, G, Cg, Og): the per-tap, per-group right-hand operand
-        wt = np.ascontiguousarray(
-            wv.reshape(groups, Og, Cg, kh, kw).transpose(3, 4, 0, 2, 1), dtype=dtype)
+        phases = _to_phases(xv, spans, Hq, Wq, stride, dtype)
+        # (kh, kw, C, Cout): the per-tap right-hand operand
+        wt = np.ascontiguousarray(wv.transpose(2, 3, 1, 0), dtype=dtype)
         taps = [(u, v, u * dilation % stride, v * dilation % stride,
                  u * dilation // stride * Wq + v * dilation // stride)
                 for u in range(kh) for v in range(kw)]
-        out_g = np.zeros((groups, N, Og), dtype=dtype)
+        out_g = np.zeros((N, Cout), dtype=dtype)
         for u, v, a, b, shift in taps:
-            for gi in range(groups):
-                _addmm(out_g[gi, :N - shift], phases[a, b, gi, shift:], wt[u, v, gi])
+            _addmm(out_g[:N - shift], phases[a, b, shift:], wt[u, v])
         out = np.ascontiguousarray(
-            out_g.reshape(groups, B, Hq, Wq, Og)[:, :, :Ho, :Wo].transpose(1, 0, 4, 2, 3)
-        ).reshape(B, Cout, Ho, Wo)
+            out_g.reshape(B, Hq, Wq, Cout)[:, :Ho, :Wo].transpose(0, 3, 1, 2))
         # a constant input (the data batch under the stem) needs no gradient
         need_gx = x.rec is not None or x.requires_grad
 
         def bwd(g):
-            g_g = np.zeros((groups, N, Og), dtype=dtype)
-            g_g.reshape(groups, B, Hq, Wq, Og)[:, :, :Ho, :Wo] = (
-                g.reshape(B, groups, Og, Ho, Wo).transpose(1, 0, 3, 4, 2))
+            g_g = np.zeros((N, Cout), dtype=dtype)
+            g_g.reshape(B, Hq, Wq, Cout)[:, :Ho, :Wo] = g.transpose(0, 2, 3, 1)
             gwt = np.empty_like(wt)
             gph = np.zeros_like(phases) if need_gx else None
             for u, v, a, b, shift in taps:
                 n = N - shift
-                for gi in range(groups):
-                    np.matmul(phases[a, b, gi, shift:].T, g_g[gi, :n], out=gwt[u, v, gi])
-                    if gph is not None:
-                        _addmm(gph[a, b, gi, shift:], g_g[gi, :n], wt[u, v, gi].T)
-            gw = gwt.transpose(2, 4, 3, 0, 1).reshape(w.shape).astype(wv.dtype, copy=False)
+                np.matmul(phases[a, b, shift:].T, g_g[:n], out=gwt[u, v])
+                if gph is not None:
+                    _addmm(gph[a, b, shift:], g_g[:n], wt[u, v].T)
+            gw = gwt.transpose(3, 2, 0, 1).astype(wv.dtype, copy=False)
             gx = None if gph is None else _from_phases(gph, spans, xv.shape, Hq, Wq,
                                                          xv.dtype)
             return gx, gw

@@ -163,9 +163,10 @@ def train(net: Network, train_samples, val_samples, cfg: TrainConfig,
 
     ``epoch_transform(samples, rng)`` may rebuild the training list each epoch
     (augmentation). ``on_metrics(record)`` is called with each record as it is
-    emitted. The best-validation checkpoint is kept at
-    ``cfg.checkpoint_path``; a non-finite loss aborts with the last good
-    checkpoint retained.
+    emitted. ``cfg.checkpoint_path`` is written before the first epoch, then
+    after each epoch that improves validation accuracy, or, with no
+    validation samples, after every epoch. A non-finite loss aborts with the
+    last good checkpoint retained.
     """
     if not train_samples:
         raise ValueError("train called with an empty dataset")
@@ -220,6 +221,8 @@ def train(net: Network, train_samples, val_samples, cfg: TrainConfig,
                 if cfg.checkpoint_path and rec.accuracy > best_acc:
                     best_acc = rec.accuracy
                     save_checkpoint(cfg.checkpoint_path, net)
+            elif cfg.checkpoint_path:
+                save_checkpoint(cfg.checkpoint_path, net)
     finally:
         # the last step's tape would otherwise stay alive until the next
         # backward anywhere in the process, through every later evaluate

@@ -13,11 +13,12 @@ import numpy as np
 from dtasnn.gradcheck import conv2d_loop
 
 
-def conv2d_loop_grads(x, w, g, stride=1, padding=1, dilation=1, groups=1):
+def conv2d_loop_grads(x, w, g, stride=1, padding=1, dilation=1):
     """Gradients of ``sum(g * conv2d_loop(x, w))`` w.r.t. x and w, in float64.
 
     The same six-nested loop: each product's partials land on the input
-    element and the weight it read.
+    element and the weight it read. As in ``conv2d_loop``, the weight shape
+    gives ``C // Cg`` groups of input channels.
     """
     B, C, H, W = x.shape
     Cout, Cg, kh, kw = w.shape
@@ -25,11 +26,10 @@ def conv2d_loop_grads(x, w, g, stride=1, padding=1, dilation=1, groups=1):
     xp[:, :, padding:padding + H, padding:padding + W] = x
     gxp = np.zeros_like(xp)
     gw = np.zeros((Cout, Cg, kh, kw), dtype=np.float64)
-    cpg = C // groups
-    opg = Cout // groups
+    opg = Cout // (C // Cg)
     for b in range(B):
         for co in range(Cout):
-            ci0 = (co // opg) * cpg
+            ci0 = (co // opg) * Cg
             for i in range(g.shape[2]):
                 for j in range(g.shape[3]):
                     for ci in range(Cg):
@@ -144,9 +144,9 @@ def gelu_vec_ref(x):
 def ltca_ref(f, p):
     """Depth-wise 5x5 (padding 2), depth-wise 7x7 at dilation 3 (padding 9),
     then point-wise."""
-    h = conv2d_loop(f, p.dw.values, stride=1, padding=2, dilation=1, groups=f.shape[1])
-    h = conv2d_loop(h, p.ddw.values, stride=1, padding=9, dilation=3, groups=f.shape[1])
-    return conv2d_loop(h, p.pw.values, stride=1, padding=0, dilation=1, groups=1)
+    h = conv2d_loop(f, p.dw.values, stride=1, padding=2, dilation=1)
+    h = conv2d_loop(h, p.ddw.values, stride=1, padding=9, dilation=3)
+    return conv2d_loop(h, p.pw.values, stride=1, padding=0, dilation=1)
 
 
 def gtca_ref(f, p):
@@ -161,9 +161,9 @@ def t_na_ref(x, p):
     """Straight-line transcription of the non-identical branch."""
     T, B, C, H, W = x.shape
     folded = x.transpose(1, 0, 2, 3, 4).reshape(B, T * C, H, W)
-    feat = gelu_vec_ref(conv2d_loop(folded, p.encode.values, 1, 0, 1, 1))
+    feat = gelu_vec_ref(conv2d_loop(folded, p.encode.values, 1, 0, 1))
     attended = ltca_ref(feat, p) * gtca_ref(feat, p) * feat
-    out = conv2d_loop(attended, p.decode.values, 1, 0, 1, 1) + folded
+    out = conv2d_loop(attended, p.decode.values, 1, 0, 1) + folded
     return out.reshape(B, T, C, H, W).transpose(1, 0, 2, 3, 4)
 
 

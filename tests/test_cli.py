@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 
@@ -56,6 +57,16 @@ class TestTrainCommand:
         code, _ = run_fast_train(tmp_path, ["--log_every", "0"])
         assert code == 2
         assert "log_every" in capsys.readouterr().err
+
+    def test_oversized_idx_header_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "idx"
+        data.mkdir()
+        (data / "train-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 0x00000803, 60000, 60000, 60000) + bytes(100))
+        code = main(["train", "--dataset", "idx", "--data_dir", str(data),
+                     "--in_channels", "1", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "train-images-idx3-ubyte: truncated pixel data" in capsys.readouterr().err
 
     def test_deterministic_flag_accepted(self, tmp_path):
         code, _ = run_fast_train(tmp_path, ["--deterministic", "--epochs", "1"])

@@ -118,6 +118,20 @@ class TestIdx:
         with pytest.raises(FormatError, match="truncated header"):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("which,header", [
+        # 116 bytes whose header declares 60000^3 pixels
+        ("images", (0x00000803, 60000, 60000, 60000)),
+        # a declared size past any buffer numpy can allocate
+        ("images", (0x00000803, 2**32 - 1, 2**32 - 1, 2**32 - 1)),
+        ("labels", (0x00000801, 2**32 - 1)),
+    ], ids=["images", "images_max", "labels"])
+    def test_oversized_header_is_format_error(self, tmp_path, which, header):
+        img, lab = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        target = img if which == "images" else lab
+        target.write_bytes(struct.pack(f">{len(header)}I", *header) + bytes(100))
+        with pytest.raises(FormatError, match=f"{target.name}: truncated"):
+            load_idx(img, lab)
+
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((2, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, images, [0])

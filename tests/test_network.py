@@ -231,16 +231,16 @@ class TestSingleStepEquivalence:
         got = net.forward(Tensor(xv), training=False).values
 
         h = oracles.conv2d_loop(xv[0].astype(np.float64),
-                                net.stem_conv.weight.values, 1, 1, 1, 1)
+                                net.stem_conv.weight.values, 1, 1, 1)
         h = bn_eval(h, net.stem_bn)
         spikes = (h >= spec.lif.v_th).astype(np.float64)
         gated = oracles.dta_ref(spikes[None], net.txa, net.tna)[0]
         block = net.blocks[0]
         s1 = (gated >= spec.lif.v_th).astype(np.float64)
-        y = bn_eval(oracles.conv2d_loop(s1, block.conv1.weight.values, 1, 1, 1, 1),
+        y = bn_eval(oracles.conv2d_loop(s1, block.conv1.weight.values, 1, 1, 1),
                     block.bn1)
         s2 = (y >= spec.lif.v_th).astype(np.float64)
-        y = bn_eval(oracles.conv2d_loop(s2, block.conv2.weight.values, 1, 1, 1, 1),
+        y = bn_eval(oracles.conv2d_loop(s2, block.conv2.weight.values, 1, 1, 1),
                     block.bn2)
         a = y + gated
         s_out = (a >= spec.lif.v_th).astype(np.float64)

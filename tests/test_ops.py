@@ -71,18 +71,17 @@ class TestConv2dForward:
     @pytest.mark.parametrize("shape,wshape,kwargs", [
         ((2, 3, 6, 6), (4, 3, 1, 1), {}),                                # point-wise
         ((2, 3, 6, 6), (4, 3, 1, 1), dict(stride=2)),                    # strided point-wise
-        ((2, 4, 5, 5), (4, 1, 3, 3), dict(padding=1, groups=4)),         # depth-wise
-        ((1, 4, 8, 8), (4, 1, 3, 3), dict(padding=3, dilation=3, groups=4)),
+        ((2, 4, 5, 5), (4, 1, 3, 3), dict(padding=1)),                   # depth-wise
+        ((1, 4, 8, 8), (4, 1, 3, 3), dict(padding=3, dilation=3)),
         ((2, 3, 7, 7), (5, 3, 3, 3), dict(stride=2, padding=1)),         # general
-        ((2, 4, 6, 6), (6, 2, 3, 3), dict(padding=1, groups=2)),         # grouped general
+        ((2, 4, 6, 6), (6, 4, 1, 1), dict(padding=1)),                   # padded 1x1: general
         ((1, 2, 9, 9), (3, 2, 3, 3), dict(padding=2, dilation=2)),       # dilated general
     ])
     def test_matches_loop_oracle(self, rng, shape, wshape, kwargs):
         x = rng.standard_normal(shape)
         w = rng.standard_normal(wshape)
         got = conv2d(Tensor(x), Tensor(w), **kwargs)
-        want = conv2d_loop(x, w, **{"stride": 1, "padding": 0, "dilation": 1,
-                                    "groups": 1, **kwargs})
+        want = conv2d_loop(x, w, **{"stride": 1, "padding": 0, "dilation": 1, **kwargs})
         np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=1e-12)
 
 
@@ -93,14 +92,14 @@ class TestConv2dGradients:
         xv = rng.standard_normal((2, 2, 4, 4))
         wv = rng.standard_normal((2, 1, 3, 3))
         probe = rng.standard_normal((2, 2, 4, 4))
-        kwargs = dict(stride=1, padding=1, dilation=1, groups=2)
+        kwargs = dict(stride=1, padding=1, dilation=1)
 
         x, w = leaf(xv), leaf(wv)
         gx, gw = engine_grads(
-            lambda: tz.tsum(conv2d(x, w, padding=1, groups=2) * Tensor(probe, dtype=np.float64)),
+            lambda: tz.tsum(conv2d(x, w, padding=1) * Tensor(probe, dtype=np.float64)),
             [x, w])
 
-        fwd = conv2d(Tensor(xv), Tensor(wv), padding=1, groups=2).values
+        fwd = conv2d(Tensor(xv), Tensor(wv), padding=1).values
         np.testing.assert_allclose(fwd, conv2d_loop(xv, wv, **kwargs), rtol=1e-5)
 
         def oracle_loss_x(v):
@@ -114,14 +113,14 @@ class TestConv2dGradients:
 
     @pytest.mark.parametrize("wshape,kwargs", [
         ((3, 2, 1, 1), {}),
-        ((2, 1, 3, 3), dict(padding=1, groups=2)),
+        ((2, 1, 3, 3), dict(padding=1)),
         ((3, 2, 3, 3), dict(stride=2, padding=1)),
     ])
     def test_grads_vs_fd_on_oracle(self, rng, wshape, kwargs):
         xv = rng.standard_normal((2, 2, 5, 5))
         wv = rng.standard_normal(wshape) * 0.5
         probe = rng.standard_normal()
-        full = {"stride": 1, "padding": 0, "dilation": 1, "groups": 1, **kwargs}
+        full = {"stride": 1, "padding": 0, "dilation": 1, **kwargs}
 
         x, w = leaf(xv), leaf(wv)
         weights = np.asarray(np.cos(np.arange(400.0)))  # fixed probe field
@@ -152,7 +151,7 @@ def kernel_id(value):
 
 
 class TestDepthwise:
-    # (input shape, (kh, kw), geometry); groups = channels throughout
+    # (input shape, (kh, kw), geometry); one kernel per channel throughout
     GEOMETRIES = [
         ((2, 3, 7, 6), (3, 3), dict(stride=2, padding=1)),
         # the desk T-NA dilated conv: 24 of the 49 taps read padding only
@@ -178,10 +177,10 @@ class TestDepthwise:
     @pytest.mark.parametrize("shape,k,kwargs", GEOMETRIES, ids=kernel_id)
     def test_matches_loop_oracle(self, rng, shape, k, kwargs, dtype, track_x):
         xv, wv = self.inputs(rng, shape, k, dtype)
-        full = {"stride": 1, "padding": 0, "dilation": 1, "groups": shape[1], **kwargs}
+        full = {"stride": 1, "padding": 0, "dilation": 1, **kwargs}
         want = conv2d_loop(xv, wv, **full)
         g = rng.standard_normal(want.shape).astype(dtype)
-        out, grads = taped_conv2d(xv, wv, g, {"groups": shape[1], **kwargs}, track_x)
+        out, grads = taped_conv2d(xv, wv, g, kwargs, track_x)
         check_against_loop_grads(xv, wv, g, full, dtype, track_x, out, want, grads)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -189,10 +188,9 @@ class TestDepthwise:
     def test_weight_grad_bits_do_not_depend_on_input_tracking(self, rng, shape, k, kwargs,
                                                               dtype):
         xv, wv = self.inputs(rng, shape, k, dtype)
-        kw = {"groups": shape[1], **kwargs}
-        g = rng.standard_normal(conv2d(Tensor(xv), Tensor(wv), **kw).shape).astype(dtype)
-        _, untracked = taped_conv2d(xv, wv, g, kw, track_x=False)
-        _, tracked = taped_conv2d(xv, wv, g, kw)
+        g = rng.standard_normal(conv2d(Tensor(xv), Tensor(wv), **kwargs).shape).astype(dtype)
+        _, untracked = taped_conv2d(xv, wv, g, kwargs, track_x=False)
+        _, tracked = taped_conv2d(xv, wv, g, kwargs)
         assert untracked[0] is None
         assert untracked[1].tobytes() == tracked[1].tobytes()
 
@@ -202,7 +200,7 @@ class TestDepthwise:
         xv, wv = self.inputs(rng, shape, k, np.float64)
         x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
         with ComputationRecord() as rec:
-            out = conv2d(x, w, groups=shape[1], **kwargs)
+            out = conv2d(x, w, **kwargs)
             (node,) = rec.nodes
         held = [c.cell_contents for c in node.backward_fn.__closure__]
         floats = [a for a in held if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
@@ -227,8 +225,9 @@ class TestGeneral:
         # padding larger than the kernel extent: border outputs read zeros only
         ((2, 2, 3, 4), (3, 2, 3, 3), dict(padding=4)),
         ((2, 3, 5, 9), (2, 3, 3, 2), dict(padding=1)),
-        ((2, 4, 7, 6), (6, 2, 3, 3), dict(stride=2, padding=1, groups=2)),
-        ((2, 4, 5, 5), (4, 2, 1, 1), dict(stride=2, groups=2)),
+        ((2, 4, 7, 6), (6, 4, 3, 3), dict(stride=2, padding=1)),
+        # a padded 1x1 runs this path, not the point-wise one
+        ((2, 4, 5, 5), (4, 4, 1, 1), dict(stride=2, padding=1)),
         # a 1x1 output
         ((2, 3, 3, 3), (2, 3, 3, 3), {}),
     ]
@@ -239,7 +238,7 @@ class TestGeneral:
     def test_matches_loop_oracle(self, rng, shape, wshape, kwargs, dtype, track_x):
         xv = rng.standard_normal(shape).astype(dtype)
         wv = rng.standard_normal(wshape).astype(dtype)
-        full = {"stride": 1, "padding": 0, "dilation": 1, "groups": 1, **kwargs}
+        full = {"stride": 1, "padding": 0, "dilation": 1, **kwargs}
         want = conv2d_loop(xv, wv, **full)
         g = rng.standard_normal(want.shape).astype(dtype)
         out, grads = taped_conv2d(xv, wv, g, kwargs, track_x)
@@ -275,6 +274,43 @@ class TestGeneral:
         assert partials[1].tobytes() == tracked[1].tobytes()
 
 
+class TestPointwise:
+    """The dense 1x1 path without padding: one batched matmul per image."""
+
+    # (input shape, output channels, stride)
+    GEOMETRIES = [
+        ((2, 3, 6, 6), 4, 1),
+        # odd H and W: the stride-2 input gradient scatter ends on the last
+        # row and column
+        ((2, 3, 5, 7), 4, 2),
+        ((3, 2, 6, 4), 5, 2),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("track_x", [False, True])
+    @pytest.mark.parametrize("shape,cout,stride", GEOMETRIES)
+    def test_matches_loop_oracle(self, rng, shape, cout, stride, dtype, track_x):
+        xv = rng.standard_normal(shape).astype(dtype)
+        wv = rng.standard_normal((cout, shape[1], 1, 1)).astype(dtype)
+        full = dict(stride=stride, padding=0, dilation=1)
+        want = conv2d_loop(xv, wv, **full)
+        g = rng.standard_normal(want.shape).astype(dtype)
+        out, grads = taped_conv2d(xv, wv, g, dict(stride=stride), track_x)
+        check_against_loop_grads(xv, wv, g, full, dtype, track_x, out, want, grads)
+
+    @pytest.mark.parametrize("shape,cout,stride", GEOMETRIES)
+    def test_node_keeps_strided_input_and_weights_only(self, rng, shape, cout, stride):
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = Tensor(rng.standard_normal((cout, shape[1], 1, 1)), requires_grad=True)
+        with ComputationRecord() as rec:
+            out = conv2d(x, w, stride=stride)
+            (node,) = rec.nodes
+        held = [c.cell_contents for c in node.backward_fn.__closure__]
+        floats = [a.shape for a in held if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+        B, C = shape[:2]
+        assert sorted(floats) == sorted([(B, C, out.shape[2] * out.shape[3]), (cout, C)])
+
+
 class TestConv2dErrors:
     def test_negative_output_extent_reported(self):
         x = Tensor(np.zeros((1, 1, 2, 2)))
@@ -282,10 +318,13 @@ class TestConv2dErrors:
         with pytest.raises(GeometryError, match="-2"):
             conv2d(x, w)
 
-    def test_group_divisibility(self):
-        with pytest.raises(ShapeError, match="groups"):
-            conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 1, 1, 1))),
-                   groups=2)
+    @pytest.mark.parametrize("wshape", [
+        (4, 2, 3, 3),   # grouped: 1 < Cg < C
+        (8, 1, 3, 3),   # depth multiplier 2: Cg == 1, Cout == 2C
+    ], ids=["grouped", "depth_multiplier"])
+    def test_weight_neither_dense_nor_depthwise(self, wshape):
+        with pytest.raises(ShapeError, match=r"dense \(Cout, 4, kh, kw\).*depth-wise \(4, 1"):
+            conv2d(Tensor(np.zeros((1, 4, 5, 5))), Tensor(np.zeros(wshape)), padding=1)
 
 
 class TestConv1d:

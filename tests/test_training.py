@@ -289,6 +289,19 @@ class TestTrainLoop:
         loaded = load_checkpoint(ckpt)
         assert loaded.spec == net.spec
 
+    def test_without_validation_checkpoint_holds_trained_network(self, tmp_path):
+        net = build(TINY_NET, seed=0)
+        ckpt = tmp_path / "ckpt.dtasnn"
+        cfg = TrainConfig(batch_size=4, epochs=2, lr0=0.05, seed=0,
+                          checkpoint_path=str(ckpt))
+        train(net, gen_synthetic(TINY_DATA, 8), [], cfg)
+        saved = load_checkpoint(ckpt).state_arrays()
+        assert len(saved) == len(net.state_arrays())
+        for a, b in zip(saved, net.state_arrays()):
+            np.testing.assert_array_equal(a, b)
+        untrained = build(TINY_NET, seed=0).state_arrays()
+        assert any(not np.array_equal(a, b) for a, b in zip(saved, untrained))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(build(TINY_NET, seed=0), [], [], TrainConfig(epochs=1))
