@@ -175,7 +175,7 @@ def gtca(f: Tensor, p: TnaParams) -> Tensor:
     Returns a (B, TC, 1, 1) map, broadcastable over the spatial axes.
     """
     B, tc = f.shape[0], f.shape[1]
-    pooled = tz.reshape(tz.mean(f, axes=(2, 3), keepdims=True), (B, tc))
+    pooled = tz.mean(f, axes=(2, 3))
     h = tz.relu(linear(pooled, p.mb_squeeze_w, p.mb_squeeze_b))
     h = linear(h, p.mb_expand_w, p.mb_expand_b)
     return tz.reshape(h, (B, tc, 1, 1))

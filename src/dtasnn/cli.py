@@ -200,9 +200,7 @@ def cmd_synth_data(cfg: RunConfig) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="path to a key = value config file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--clip", type=float, default=None)
     p.add_argument("--out", default=None, help="output directory")
 
 
@@ -215,10 +213,6 @@ def _collect_overrides(args, extras) -> dict:
             raise ConfigError(f"unrecognized argument {tok!r} (expected --key value)")
         overrides[tok[2:]] = extras[i + 1]
         i += 2
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.clip is not None:
-        overrides["clip"] = str(args.clip)
     if args.out is not None:
         overrides["out_dir"] = args.out
     if args.deterministic:

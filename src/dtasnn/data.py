@@ -113,10 +113,14 @@ def gen_synthetic(spec: SynthSpec, n: int) -> list[Sample]:
 
 
 def direct_code(x: np.ndarray, time_steps: int) -> np.ndarray:
-    """Replicate a static (C, H, W) image across T leading time steps."""
+    """Replicate a static (C, H, W) image across T leading time steps.
+
+    The result is a read-only (T, C, H, W) view of *x*, not T copies;
+    ``training.stack_batch`` copies it into each batch.
+    """
     if time_steps < 1:
         raise ValueError(f"time_steps must be >= 1, got {time_steps}")
-    return np.repeat(x[None], time_steps, axis=0)
+    return np.broadcast_to(x, (time_steps,) + x.shape)
 
 
 def augment(x: np.ndarray, pad: int, flip_prob: float,

@@ -6,9 +6,14 @@ pool -> per-step classifier head, averaged over time.
 
 Residual blocks are pre-activation (spike -> conv -> norm, twice) and their
 identity path carries real-valued activations; the only binarization points
-are the spiking layers. Time is folded into the batch axis for convolutions
-and batch norm, which is value-identical to a per-step loop for those
-per-sample operations (batch norm is *defined* over the folded T*B batch).
+are the spiking layers. Activations keep the folded (T*B, C, H, W) layout,
+time-major, from the stem to the head: convolutions and batch norm treat the
+T*B samples as one batch, which is value-identical to a per-step loop for
+those per-sample operations (batch norm is *defined* over the folded T*B
+batch), and each spiking layer splits the leading axis into its T steps
+itself. Only the attention block, which mixes time and channels, sees
+(T, B, C, H, W), and only the per-step logits are unfolded, to be averaged
+over time.
 """
 
 from __future__ import annotations
@@ -138,25 +143,19 @@ class LinearLayer:
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
 
-def _fold(x: Tensor) -> Tensor:
-    T, B = x.shape[0], x.shape[1]
-    return tz.reshape(x, (T * B,) + x.shape[2:])
-
-
-def _unfold(x: Tensor, t: int, b: int) -> Tensor:
-    return tz.reshape(x, (t, b) + x.shape[1:])
-
-
-def _spike_layer(x: Tensor, p: LifParams) -> Tensor:
-    """Run the spiking dynamics over the leading time axis of a stacked tensor."""
-    return lif_unroll(x, p)
+def _spike_layer(x: Tensor, p: LifParams, steps: int) -> Tensor:
+    """Run the spiking dynamics over the *steps* time steps stacked along the
+    leading axis of a (T*B, ...) tensor."""
+    return lif_unroll(x, p, steps)
 
 
 class MsBlock:
-    """Pre-activation residual block with a membrane (un-spiked) shortcut."""
+    """Pre-activation residual block with a membrane (un-spiked) shortcut,
+    over (T*B, C, H, W) activations of *steps* time steps."""
 
-    def __init__(self, rng, cin, cout, stride, lif: LifParams):
+    def __init__(self, rng, cin, cout, stride, lif: LifParams, steps: int):
         self.lif = lif
+        self.steps = steps
         self.conv1 = Conv2dLayer(rng, cin, cout, 3, stride=stride)
         self.bn1 = BatchNorm2dLayer(cout)
         self.conv2 = Conv2dLayer(rng, cout, cout, 3)
@@ -166,14 +165,9 @@ class MsBlock:
             self.downsample = Conv2dLayer(rng, cin, cout, 1, stride=stride)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        t, b = x.shape[0], x.shape[1]
-        h = _spike_layer(x, self.lif)
-        h = _unfold(self.bn1(self.conv1(_fold(h)), training), t, b)
-        h = _spike_layer(h, self.lif)
-        h = _unfold(self.bn2(self.conv2(_fold(h)), training), t, b)
-        identity = x
-        if self.downsample is not None:
-            identity = _unfold(self.downsample(_fold(x)), t, b)
+        h = self.bn1(self.conv1(_spike_layer(x, self.lif, self.steps)), training)
+        h = self.bn2(self.conv2(_spike_layer(h, self.lif, self.steps)), training)
+        identity = x if self.downsample is None else self.downsample(x)
         return h + identity
 
     def named_parameters(self, prefix):
@@ -209,7 +203,7 @@ class Network:
         cin = spec.stem_channels
         for ch, count, stride in spec.stages:
             for i in range(count):
-                self.blocks.append(MsBlock(rng, cin, ch, stride if i == 0 else 1, lif))
+                self.blocks.append(MsBlock(rng, cin, ch, stride if i == 0 else 1, lif, t))
                 cin = ch
         self.head = LinearLayer(rng, cin, spec.num_classes)
 
@@ -223,15 +217,14 @@ class Network:
                 f"input {x.shape} does not match spec (T={spec.time_steps}, "
                 f"Cin={spec.in_channels})")
         t, b = x.shape[0], x.shape[1]
-        h = _unfold(self.stem_bn(self.stem_conv(_fold(x)), training), t, b)
-        spikes = _spike_layer(h, spec.lif)
-        a = dta(spikes, self.txa, self.tna)
+        h = self.stem_bn(self.stem_conv(tz.reshape(x, (t * b,) + x.shape[2:])), training)
+        spikes = _spike_layer(h, spec.lif, t)                     # (T*B, C, H, W)
+        a = dta(tz.reshape(spikes, (t, b) + spikes.shape[1:]), self.txa, self.tna)
+        a = tz.reshape(a, spikes.shape)
         for block in self.blocks:
             a = block(a, training)
-        s_out = _spike_layer(a, spec.lif)
-        pooled = tz.mean(s_out, axes=(3, 4))                       # (T, B, C)
-        logits_steps = self.head(tz.reshape(pooled, (t * b, pooled.shape[2])))
-        logits_steps = tz.reshape(logits_steps, (t, b, spec.num_classes))
+        pooled = tz.mean(_spike_layer(a, spec.lif, t), axes=(2, 3))  # (T*B, C)
+        logits_steps = tz.reshape(self.head(pooled), (t, b, spec.num_classes))
         return tz.mean(logits_steps, axes=(0,))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:

@@ -1,7 +1,12 @@
 """Multi-step leaky integrate-and-fire layer with a triangular surrogate gradient.
 
-:func:`lif_unroll` runs the membrane dynamics over the leading time axis of a
-stacked ``(T, ...)`` input current and records one tape node for all T steps.
+:func:`lif_unroll` runs the membrane dynamics over T time steps stacked along
+the leading axis of the input current and records one tape node for all T
+steps. The leading axis is either T itself, ``(T, ...)``, or T·B with the
+batch folded in step-major order, ``(T·B, ...)``, the layout the backbone
+keeps from stem to head; the neuron splits it into steps itself, on raw-array
+views, and its spikes keep the input's shape.
+
 The update is ``u(t) = tau * u(t-1) * (1 - s(t-1)) + c(t)`` from a zero state,
 with a hard reset through the ``(1 - s(t-1))`` factor, and spikes fire
 whenever the potential reaches the threshold (boundary inclusive). Forward
@@ -86,19 +91,22 @@ def lif_forward(c: np.ndarray, p: LifParams) -> tuple[np.ndarray, np.ndarray]:
     return u, spikes
 
 
-def lif_unroll(x: Tensor, p: LifParams) -> Tensor:
-    """Binary spikes ``(T, ...)`` from the stacked input currents ``(T, ...)``."""
-    if x.ndim < 1 or x.shape[0] < 1:
-        raise ShapeError(f"lif_unroll needs a leading time axis of at least one "
-                         f"step, got shape {x.shape}")
-    steps = x.shape[0]
+def lif_unroll(x: Tensor, p: LifParams, steps: int | None = None) -> Tensor:
+    """Binary spikes shaped like *x* from input currents whose leading axis
+    stacks *steps* time steps (all of it when *steps* is None)."""
+    if steps is None:
+        steps = x.shape[0] if x.ndim else 0
+    if x.ndim < 1 or steps < 1 or x.shape[0] < steps or x.shape[0] % steps:
+        raise ShapeError(f"lif_unroll needs a leading axis of at least one step "
+                         f"that splits into {steps} time steps, got shape {x.shape}")
     tau = x.dtype.type(p.tau)
-    u, spikes = lif_forward(x.values, p)
+    u, spikes = lif_forward(x.values.reshape(steps, -1), p)
 
     def bwd(g):
         # the float ops of the chain rule through the step-by-step graph
         # (1 - s, u * tau, times the reset, plus c, fire), in that graph's
         # reverse order, so the gradients are the bits an unrolled tape gives
+        g = g.reshape(steps, -1)
         sg = surrogate_values(u, p)
         keep = (u[:-1] < p.v_th) * tau  # tau * (1 - s), the carried share
         tau_u = None if p.reset_detached else u[:-1] * tau
@@ -108,6 +116,6 @@ def lif_unroll(x: Tensor, p: LifParams) -> Tensor:
             g_spike = g[t] if tau_u is None else g[t] - du[t + 1] * tau_u[t]
             np.multiply(g_spike, sg[t], out=du[t])
             du[t] += du[t + 1] * keep[t]
-        return (du,)
+        return (du.reshape(x.shape),)
 
-    return apply_primitive((x,), spikes, bwd)
+    return apply_primitive((x,), spikes.reshape(x.shape), bwd)

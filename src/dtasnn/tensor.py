@@ -3,10 +3,11 @@
 A :class:`Tensor` wraps a contiguous numpy array. While a
 :class:`ComputationRecord` is active (``with ComputationRecord():``), every
 primitive appends one node to the record; :func:`backward` replays the nodes
-in exact reverse creation order and accumulates gradients additively into
-every reachable tensor that requires them. A tensor that neither requires
-gradients nor is the output of a recorded primitive is a constant and never
-receives gradients.
+in exact reverse creation order and accumulates gradients additively. Only
+the leaves (tensors that require gradients) keep theirs: an intermediate's
+gradient is dropped as soon as its node's backward has consumed it. A tensor
+that neither requires gradients nor is the output of a recorded primitive is
+a constant and never receives gradients.
 
 Default element type is float32. Kernels are dtype-generic, so verification
 code may run the same graph in float64 by constructing float64 tensors.
@@ -114,25 +115,12 @@ class Tensor:
         flags = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flags})"
 
-    # arithmetic sugar; the free functions hold the actual rules
+    # arithmetic sugar between tensors; the free functions hold the rules
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 class _Node:
@@ -147,9 +135,11 @@ class _Node:
 _ACTIVE: "ComputationRecord | None" = None
 
 # The record whose backward ran last. Its nodes hold it in a reference cycle
-# (node -> out -> rec -> nodes), so the next backward clears them; clearing a
-# record's own nodes right after its backward makes every step return its tape
-# pages to the allocator and fault them in again.
+# (node -> out -> rec -> nodes), so the next backward clears them, before it
+# runs: the gradients it allocates then reuse that tape's memory. Clearing a
+# record's own nodes right after its backward, or the previous record's only
+# after this one's, makes every step return pages to the allocator and fault
+# them in again.
 _LAST_BACKWARD: "ComputationRecord | None" = None
 
 
@@ -159,7 +149,7 @@ class ComputationRecord:
     Creation order is topological order; :func:`backward` traverses it in
     exact reverse. A record is single-use: a second backward raises
     :class:`RecordError`. Its nodes stay until the next record's backward
-    finishes, or :func:`release_last_tape` runs, which clears them.
+    starts, or :func:`release_last_tape` runs, which clears them.
     """
 
     def __init__(self):
@@ -201,12 +191,16 @@ def apply_primitive(inputs: tuple, out_values: np.ndarray,
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of every tensor reachable from the scalar *loss*.
+    """Populate the gradients of the leaves reachable from the scalar *loss*.
 
     Accumulation is additive: a tensor consumed k times receives the sum of
-    its k partials. Raises on a non-scalar loss, a loss detached from any
-    record, or a record whose backward already ran. On success it clears the
-    nodes of the record whose backward ran before this one, freeing that tape.
+    its k partials. Every consumer of a node's output was recorded after it,
+    so the output's gradient is complete when the node's turn comes; it is
+    dropped once the node's backward has run, and only leaves (tensors that
+    require gradients) keep a ``.grad`` afterwards. Raises on a non-scalar
+    loss, a loss detached from any record, or a record whose backward already
+    ran. Otherwise it first clears the nodes of the record whose backward ran
+    before this one, freeing that tape.
     """
     global _LAST_BACKWARD
     if loss.size != 1:
@@ -217,18 +211,19 @@ def backward(loss: Tensor) -> None:
     if rec._backward_done:
         raise RecordError("backward was already called on this record")
     rec._backward_done = True
+    release_last_tape()
     loss.grad = np.ones_like(loss.values)
     for node in reversed(rec.nodes):
         g = node.out.grad
         if g is None:
             continue
         partials = node.backward_fn(g)
+        node.out.grad = None
         for t, p in zip(node.inputs, partials):
             if p is None:
                 continue
             if t.rec is rec or t.requires_grad:
                 t.grad = p if t.grad is None else t.grad + p
-    release_last_tape()
     _LAST_BACKWARD = rec
 
 
@@ -250,21 +245,11 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
         t.grad = None
 
 
-def as_tensor(x, like: Tensor | None = None) -> Tensor:
-    """Wrap *x* as a constant tensor, matching the dtype of *like*."""
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(x), dtype=dtype)
-
-
 # ---------------------------------------------------------------------------
 # element-wise arithmetic
 
 
-def add(a, b) -> Tensor:
-    a = as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     broadcast_shape(a.shape, b.shape)
     out = a.values + b.values
 
@@ -274,21 +259,7 @@ def add(a, b) -> Tensor:
     return apply_primitive((a, b), out, bwd)
 
 
-def sub(a, b) -> Tensor:
-    a = as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, a)
-    broadcast_shape(a.shape, b.shape)
-    out = a.values - b.values
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return apply_primitive((a, b), out, bwd)
-
-
-def mul(a, b) -> Tensor:
-    a = as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, a)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     broadcast_shape(a.shape, b.shape)
     av, bv = a.values, b.values
     out = av * bv
@@ -297,25 +268,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)
 
     return apply_primitive((a, b), out, bwd)
-
-
-def texp(a: Tensor) -> Tensor:
-    out = np.exp(a.values)
-
-    def bwd(g):
-        return (g * out,)
-
-    return apply_primitive((a,), out, bwd)
-
-
-def tlog(a: Tensor) -> Tensor:
-    av = a.values
-    out = np.log(av)
-
-    def bwd(g):
-        return (g / av,)
-
-    return apply_primitive((a,), out, bwd)
 
 
 # ---------------------------------------------------------------------------

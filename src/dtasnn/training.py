@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as tz
 from .network import Network, save_checkpoint
-from .tensor import ComputationRecord, Tensor, backward, zero_grads
+from .tensor import ComputationRecord, Tensor, apply_primitive, backward, zero_grads
 
 
 class NumericsError(RuntimeError):
@@ -61,10 +61,12 @@ class MetricsRecord:
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-softmax of the labelled class, max-stabilized.
+    """Mean negative log-softmax of the labelled class, as one tape node.
 
-    Subtracting the (detached) row maximum is exact: softmax is invariant to
-    per-row shifts, so the gradient is unchanged.
+    The forward subtracts each row's maximum first: softmax is invariant to
+    per-row shifts, so neither the loss nor the gradient changes. The
+    gradient is ``(softmax - onehot) / n``, formed as ``softmax = e / sum(e)``
+    with ``e = exp(z)`` of the shifted logits ``z``.
     """
     if logits.ndim != 2:
         raise tz.ShapeError(f"cross_entropy expects (B, K) logits, got {logits.shape}")
@@ -75,14 +77,21 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     for lbl in labels:
         if not 0 <= int(lbl) < k:
             raise ValueError(f"label {lbl} out of range [0, {k})")
-    row_max = Tensor(logits.values.max(axis=1, keepdims=True))
-    z = logits - row_max
-    log_norm = tz.tlog(tz.tsum(tz.texp(z), axes=(1,), keepdims=True))
-    log_probs = z - log_norm
+    lv = logits.values
+    z = lv - lv.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    e_sum = e.sum(axis=1, keepdims=True)
     onehot = np.zeros((n, k), dtype=logits.dtype)
     onehot[np.arange(n), [int(l) for l in labels]] = 1.0
-    picked = tz.tsum(log_probs * Tensor(onehot), axes=(1,))
-    return tz.mean(picked) * -1.0
+    loss = -((z - np.log(e_sum)) * onehot).sum(axis=1).mean()
+
+    def bwd(g):
+        # the float ops of the backward through log-softmax, picking and
+        # averaging as separate steps, so the bits are those of that graph
+        g_picked = -g / n * onehot
+        return (g_picked + (-g_picked).sum(axis=1, keepdims=True) / e_sum * e,)
+
+    return apply_primitive((logits,), loss, bwd)
 
 
 def cosine_lr(epoch: int, epochs: int, lr0: float, lr_min: float) -> float:
@@ -141,6 +150,8 @@ def evaluate(net: Network, samples, batch_size: int, epoch: int = 0,
     """Eval-mode forward over a sample list; argmax ties go to the lowest class."""
     if not samples:
         raise ValueError("evaluate called with an empty dataset")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     t0 = time.perf_counter()
     total_loss = 0.0
     correct = 0

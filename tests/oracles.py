@@ -86,6 +86,23 @@ def sigmoid_ref(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
+def cross_entropy_ref(logits, labels):
+    """Mean of -log(softmax) at each row's label, and its gradient
+    ``(softmax - onehot) / n``, from the literal formulas in float64 with no
+    max shift, one row at a time."""
+    logits = np.asarray(logits, dtype=np.float64)
+    n = len(labels)
+    loss = 0.0
+    grad = np.zeros_like(logits)
+    for i, (row, label) in enumerate(zip(logits, labels)):
+        exps = [math.exp(v) for v in row]
+        total = sum(exps)
+        loss -= math.log(exps[label] / total)
+        grad[i] = [e / total for e in exps]
+        grad[i, label] -= 1.0
+    return loss / n, grad / n
+
+
 def lif_forward_ref(currents, tau, v_th):
     """Literal membrane recurrence; returns (potentials, spikes) per step."""
     us, ss = [], []

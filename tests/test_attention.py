@@ -248,12 +248,12 @@ class TestDta:
         txa, tna = f64_params(4, 2, rng)
         tna.mb_squeeze_b.values += 0.5  # keep the bottleneck ReLU partly live
         spikes = binary_spikes(rng, (4, 2, 2, 5, 5))
-        target = Tensor(rng.standard_normal(spikes.shape), dtype=np.float64)
+        neg_target = Tensor(-rng.standard_normal(spikes.shape), dtype=np.float64)
         params = txa.parameters() + tna.parameters()
         zero_grads(params)
         with ComputationRecord():
             out = dta(spikes, txa, tna)
-            err = out - target
+            err = out + neg_target
             backward(tz.mean(err * err))
         names = [n for n, _ in named_tensors(txa) + named_tensors(tna)]
         assert len(names) == len(params) == 13

@@ -5,12 +5,14 @@ import os
 import struct
 
 import numpy as np
+import pytest
 
-from dtasnn import container
+from dtasnn import cli, container
 from dtasnn.cli import main
 from dtasnn.data import load_synthetic
 from dtasnn.gradcheck import CHECK_NAMES
 from dtasnn.network import CheckpointError, load_checkpoint
+from dtasnn.tensor import Tensor
 
 FAST = ["--batch_size", "16", "--epochs", "2", "--time_steps", "4",
         "--stem_channels", "4", "--stages", "4:1:1", "--num_classes", "2",
@@ -100,6 +102,19 @@ class TestTrainCommand:
         assert stream(out_a) == stream(out_b)
 
 
+class TestOverrides:
+    def test_seed_and_clip_are_generic_overrides(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_train", lambda cfg: seen.append(cfg) or 0)
+        assert main(["train", "--seed", "7", "--clip", "0.5"]) == 0
+        assert (seen[0].seed, seen[0].clip) == (7, 0.5)
+
+    @pytest.mark.parametrize("key", ["seed", "clip"])
+    def test_bad_value_exit_2(self, tmp_path, capsys, key):
+        assert main(["train", f"--{key}", "abc", "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+
 class TestEvalCommand:
     def test_eval_reproduces_best_val_accuracy(self, tmp_path, capsys):
         code, out = run_fast_train(tmp_path)
@@ -156,6 +171,18 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", ckpt, "--seed", "1"] + FAST) == 2
         assert "time_steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batch_size", ["-1", "0"])
+    def test_non_positive_batch_size_exit_2(self, tmp_path, capsys, batch_size):
+        _, out = run_fast_train(tmp_path, ["--epochs", "1"])
+        capsys.readouterr()
+        ckpt = os.path.join(out, "checkpoint.dtasnn")
+        code = main(["eval", "--checkpoint", ckpt, "--seed", "1"] + FAST
+                    + ["--batch_size", batch_size])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"batch_size must be >= 1, got {batch_size}" in captured.err
+
     def test_missing_checkpoint_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "none.dtasnn")
         assert main(["eval", "--checkpoint", missing] + FAST) == 2
@@ -184,7 +211,8 @@ class TestGradcheckCommand:
         assert "conv2d" in out and "FAIL" not in out
 
     def test_fault_injection_fails(self, capsys):
-        for op in ("conv2d", "conv2d_depthwise", "conv2d_pointwise", "lif_unroll"):
+        for op in ("conv2d", "conv2d_depthwise", "conv2d_pointwise", "lif_unroll",
+                   "cross_entropy"):
             assert main(["gradcheck", "--break", op]) == 1
             failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                       if line.endswith("FAIL")]
@@ -195,7 +223,8 @@ class TestGradcheckCommand:
         # with the wrong forward, so only the loop oracle can catch it
         from dtasnn import ops
         conv2d = ops.conv2d
-        monkeypatch.setattr(ops, "conv2d", lambda x, w, **kw: conv2d(x, w * 2.0, **kw))
+        monkeypatch.setattr(ops, "conv2d",
+                            lambda x, w, **kw: conv2d(x, w * Tensor(2.0, dtype=w.dtype), **kw))
         assert main(["gradcheck"]) == 1
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                   if line.endswith("FAIL")]
@@ -223,7 +252,7 @@ class TestGradcheckCommand:
         names = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                  if "max_rel_err" in line]
         assert len(names) == len(set(names))
-        for expected in ("add", "sub", "mul", "sigmoid", "gelu", "relu", "mean",
+        for expected in ("add", "mul", "sigmoid", "gelu", "relu", "mean",
                          "reshape", "transpose", "conv2d", "conv2d_depthwise",
                          "conv2d_pointwise", "conv1d", "linear",
                          "batch_norm_2d", "cross_entropy", "lif_unroll", "dta_block"):

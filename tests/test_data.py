@@ -146,6 +146,13 @@ class TestDirectCode:
         assert out.shape == (1, 3, 4, 4)
         np.testing.assert_array_equal(out[0], x)
 
+    def test_is_read_only_view_of_image(self, rng):
+        x = rng.random((3, 4, 4)).astype(np.float32)
+        out = direct_code(x, 6)
+        assert out.shape == (6, 3, 4, 4)
+        assert np.shares_memory(out, x)
+        assert not out.flags.writeable
+
     def test_all_slices_bitwise_equal(self, rng):
         x = rng.random((2, 3, 3)).astype(np.float32)
         out = direct_code(x, 5)

@@ -17,7 +17,8 @@ from dtasnn.neuron import LifParams
 from dtasnn.network import (CheckpointError, NetworkSpec, build, load_checkpoint,
                             save_checkpoint, spec_mismatch)
 from dtasnn.ops import conv2d
-from dtasnn.tensor import ShapeError, Tensor
+from dtasnn.tensor import ComputationRecord, ShapeError, Tensor, backward
+from dtasnn.training import cross_entropy
 
 import oracles
 
@@ -177,6 +178,35 @@ class TestForward:
         assert len(seen) == 2 * len(net.blocks)
         for vals in seen:
             assert set(np.unique(vals)) <= {0.0, 1.0}
+
+
+class TestTapeNodes:
+    """Nodes one training step records (forward and loss), per bench spec.
+
+    Activations stay folded over T*B from stem to head, so only the attention
+    block's input and output and the per-step logits are reshaped on the tape,
+    and the loss is one node.
+    """
+
+    DESK = dict(time_steps=6, in_channels=2, stem_channels=8,
+                stages=((8, 1, 1), (16, 1, 2)), num_classes=2)
+
+    @pytest.mark.parametrize("spec,nodes", [
+        (NetworkSpec(**DESK), 63),
+        (NetworkSpec(**DESK, dta_enabled=(False, False)), 26),
+        (NetworkSpec(time_steps=4, in_channels=3, stem_channels=16,
+                     stages=((32, 1, 1), (64, 1, 2)), num_classes=10), 64),
+    ], ids=["desk", "desk-nodta", "cifar"])
+    def test_training_step_records(self, rng, spec, nodes):
+        net = build(spec, seed=0)
+        x = Tensor((rng.random((spec.time_steps, 2, spec.in_channels, 8, 8)) < 0.5)
+                   .astype(np.float32))
+        with ComputationRecord() as rec:
+            loss = cross_entropy(net.forward(x, training=True), [0, 1])
+            recorded = len(rec.nodes)
+            backward(loss)
+        assert recorded == nodes
+        assert all(p.grad is not None for p in net.parameters())
 
 
 class TestTimeFolding:

@@ -62,6 +62,11 @@ class TestLifStep:
         with pytest.raises(ShapeError):
             lif_unroll(Tensor(np.float32(0.5)), params)
 
+    @pytest.mark.parametrize("rows,steps", [(5, 2), (1, 2), (4, 0)])
+    def test_leading_axis_must_split_into_steps(self, params, rows, steps):
+        with pytest.raises(ShapeError):
+            lif_unroll(Tensor(np.zeros((rows, 3), dtype=np.float32)), params, steps)
+
     def test_spikes_exactly_binary(self, params, rng):
         c = Tensor(rng.standard_normal((6, 4, 4)).astype(np.float32))
         assert set(np.unique(lif_unroll(c, params).values)) <= {0.0, 1.0}
@@ -195,11 +200,30 @@ class TestFusedPrimitive:
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-6 if dtype == np.float64 else 1e-4)
 
+    def test_folded_input_gives_the_same_bits(self, rng, steps, detached, dtype):
+        # the backbone's (T*B, ...) layout, split into steps inside the node
+        p = LifParams(tau=0.5, v_th=1.0, alpha=1.0, reset_detached=detached)
+        cvals = self.currents(rng, steps, dtype)
+        upstream = rng.standard_normal(cvals.shape).astype(dtype)
+        folded = (steps * cvals.shape[1],) + cvals.shape[2:]
+        runs = []
+        for shape, t in ((cvals.shape, None), (folded, steps)):
+            x = Tensor(cvals.reshape(shape), requires_grad=True)
+            with ComputationRecord():
+                spikes = lif_unroll(x, p, t)
+                backward(tz.tsum(spikes * Tensor(upstream.reshape(shape))))
+            assert spikes.shape == x.grad.shape == shape
+            runs.append((spikes.values.reshape(cvals.shape), x.grad.reshape(cvals.shape)))
+        (s_stacked, g_stacked), (s_folded, g_folded) = runs
+        np.testing.assert_array_equal(s_folded, s_stacked)
+        np.testing.assert_array_equal(g_folded, g_stacked)
+        assert np.abs(g_stacked).max() > 0.0
+
     def test_spike_layer_records_one_tape_node(self, rng, steps, detached, dtype):
         p = LifParams(reset_detached=detached)
         x = Tensor(self.currents(rng, steps, dtype), requires_grad=True)
         with ComputationRecord() as rec:
-            out = _spike_layer(x, p)
+            out = _spike_layer(x, p, steps)
         assert len(rec.nodes) == 1
         assert rec.nodes[0].out is out and rec.nodes[0].inputs == (x,)
 

@@ -19,7 +19,7 @@ from dtasnn.training import (MetricsRecord, NumericsError, TrainConfig,
                              sgd_step, stack_batch, train)
 from dtasnn.tensor import ComputationRecord, Tensor, backward
 
-from oracles import fd_grad
+from oracles import cross_entropy_ref, fd_grad
 
 TINY_NET = NetworkSpec(time_steps=4, in_channels=2, stem_channels=4,
                        stages=((4, 1, 1),), num_classes=2,
@@ -78,6 +78,20 @@ class TestCrossEntropy:
         soft[0, 1] -= 1.0
         soft[1, 0] -= 1.0
         np.testing.assert_allclose(logits.grad, soft / 2.0, rtol=1e-10)
+
+
+    @pytest.mark.parametrize("n,k", [(64, 2), (16, 10), (3, 4), (1, 5), (4, 1)])
+    def test_float64_matches_log_softmax_oracle(self, rng, n, k):
+        lv = rng.standard_normal((n, k)) * 3.0
+        labels = [int(v) for v in rng.integers(0, k, n)]
+        logits = Tensor(lv, requires_grad=True, dtype=np.float64)
+        with ComputationRecord() as rec:
+            loss = cross_entropy(logits, labels)
+            backward(loss)
+        assert len(rec.nodes) == 1
+        want_loss, want_grad = cross_entropy_ref(lv, labels)
+        assert loss.item() == pytest.approx(want_loss, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(logits.grad, want_grad, rtol=1e-10, atol=1e-15)
 
 
 class TestSgd:
