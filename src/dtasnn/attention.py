@@ -18,7 +18,7 @@ Spike tensors are laid out (T, B, C, H, W).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +34,7 @@ K_TXA = 3
 K_DW, K_DDW, DILATION = 5, 7, 3
 
 
-def named_tensors(params) -> list[tuple[str, Tensor]]:
-    """The learnable tensors of a parameter dataclass, named by field, in field order."""
-    return [(f.name, getattr(params, f.name)) for f in fields(params)]
-
-
-def _uniform_fan_in(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> Tensor:
+def uniform_fan_in(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, dtype=dtype)
 
@@ -62,14 +57,11 @@ class TxaParams:
              dtype=np.float32) -> "TxaParams":
         k = K_TXA
         return cls(
-            tla_kernel=_uniform_fan_in(rng, (channels, channels, k), channels * k, dtype),
-            cla_kernel=_uniform_fan_in(rng, (time_steps, time_steps, k), time_steps * k, dtype),
+            tla_kernel=uniform_fan_in(rng, (channels, channels, k), channels * k, dtype),
+            cla_kernel=uniform_fan_in(rng, (time_steps, time_steps, k), time_steps * k, dtype),
             p_t=Tensor(np.zeros(1), requires_grad=True, dtype=dtype),
             p_c=Tensor(np.zeros(1), requires_grad=True, dtype=dtype),
         )
-
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in named_tensors(self)]
 
 
 @dataclass
@@ -100,19 +92,16 @@ class TnaParams:
         tc = time_steps * channels
         hidden = tc // next(r for r in (4, 3, 2, 1) if tc % r == 0)
         return cls(
-            encode=_uniform_fan_in(rng, (tc, tc, 1, 1), tc, dtype),
-            dw=_uniform_fan_in(rng, (tc, 1, K_DW, K_DW), K_DW * K_DW, dtype),
-            ddw=_uniform_fan_in(rng, (tc, 1, K_DDW, K_DDW), K_DDW * K_DDW, dtype),
-            pw=_uniform_fan_in(rng, (tc, tc, 1, 1), tc, dtype),
-            mb_squeeze_w=_uniform_fan_in(rng, (hidden, tc), tc, dtype),
+            encode=uniform_fan_in(rng, (tc, tc, 1, 1), tc, dtype),
+            dw=uniform_fan_in(rng, (tc, 1, K_DW, K_DW), K_DW * K_DW, dtype),
+            ddw=uniform_fan_in(rng, (tc, 1, K_DDW, K_DDW), K_DDW * K_DDW, dtype),
+            pw=uniform_fan_in(rng, (tc, tc, 1, 1), tc, dtype),
+            mb_squeeze_w=uniform_fan_in(rng, (hidden, tc), tc, dtype),
             mb_squeeze_b=Tensor(np.zeros(hidden), requires_grad=True, dtype=dtype),
-            mb_expand_w=_uniform_fan_in(rng, (tc, hidden), hidden, dtype),
+            mb_expand_w=uniform_fan_in(rng, (tc, hidden), hidden, dtype),
             mb_expand_b=Tensor(np.zeros(tc), requires_grad=True, dtype=dtype),
-            decode=_uniform_fan_in(rng, (tc, tc, 1, 1), tc, dtype),
+            decode=uniform_fan_in(rng, (tc, tc, 1, 1), tc, dtype),
         )
-
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in named_tensors(self)]
 
 
 def _require_5d(x: Tensor, name: str) -> None:

@@ -200,7 +200,6 @@ def cmd_synth_data(cfg: RunConfig) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="path to a key = value config file")
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--out", default=None, help="output directory")
 
 
@@ -215,8 +214,6 @@ def _collect_overrides(args, extras) -> dict:
         i += 2
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if args.deterministic:
-        overrides["deterministic"] = "true"
     return overrides
 
 
@@ -249,10 +246,11 @@ def main(argv=None) -> int:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, FormatError, CheckpointError, MissingStatisticsError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         # domain validation (NetworkSpec, TrainConfig, ...) raises ValueError;
         # a checkpoint saved before the first training step has no batch-norm
-        # statistics to evaluate with
+        # statistics to evaluate with; an OSError here is a file or directory
+        # that cannot be made, read or written, such as the output directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

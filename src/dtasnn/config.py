@@ -91,7 +91,6 @@ class RunConfig:
     seed: int = 0
     log_every: int = 1
     clip: float = 0.0
-    deterministic: bool = False
     ablate_seeds: int = 3
     out_dir: str = "runs"
 

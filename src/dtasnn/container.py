@@ -36,7 +36,10 @@ def write(path, header: dict, arrays) -> None:
 
     The bytes go to ``<path>.tmp`` in the same directory, which then replaces
     *path*, so a write that fails or is killed midway leaves the previous file
-    as it was. *arrays* is consumed as it is written, so it may be a generator.
+    as it was. The temporary file is fsynced before the replace and the
+    directory after it, so after a power loss *path* names either the old
+    file or the complete new one. *arrays* is consumed as it is written, so
+    it may be a generator.
     """
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
@@ -58,10 +61,17 @@ def write(path, header: dict, arrays) -> None:
                 put(struct.pack("<I", flat.size))
                 put(flat.tobytes())
             fh.write(struct.pack("<I", crc))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def read(path, error: type[Exception]) -> tuple[dict, list[np.ndarray]]:

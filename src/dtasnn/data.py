@@ -197,39 +197,34 @@ def load_cifar10_binary(directory):
 # IDX (MNIST layout): big-endian magic + dims, then raw bytes
 
 
-def _read_header(fh, nbytes: int, path) -> bytes:
-    raw = fh.read(nbytes)
-    if len(raw) != nbytes:
-        raise FormatError(f"{path}: truncated header ({len(raw)} of {nbytes} bytes)")
-    return raw
-
-
-def _read_payload(fh, nbytes: int, path, what: str) -> bytes:
-    """The *nbytes* a header declares, checked against the bytes left in the
-    file before any buffer of that size is allocated."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if nbytes > left:
-        raise FormatError(f"{path}: truncated {what} (header declares {nbytes} "
-                          f"bytes, {left} remain)")
-    return fh.read(nbytes)
+def _read_idx(path, magic: int, ndims: int, what: str) -> tuple[list[int], bytes]:
+    """The dimensions and raw bytes of one IDX file, its header checked and
+    the bytes it declares checked against the file's length before any
+    buffer of that size is allocated."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
+        nbytes = 4 * (1 + ndims)
+        raw = fh.read(nbytes)
+        if len(raw) != nbytes:
+            raise FormatError(f"{path}: truncated header ({len(raw)} of {nbytes} bytes)")
+        got, *dims = struct.unpack(f">{1 + ndims}I", raw)
+        if got != magic:
+            raise FormatError(f"{path}: bad magic {got:#010x}, expected {magic:#010x}")
+        size, left = math.prod(dims), os.fstat(fh.fileno()).st_size - nbytes
+        if size > left:
+            raise FormatError(f"{path}: truncated {what} (header declares {size} "
+                              f"bytes, {left} remain)")
+        return dims, fh.read(size)
 
 
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Grayscale images in [0, 1] (N, 1, H, W) plus labels from IDX files."""
-    with open(images_path, "rb") as fh:
-        magic, n, h, w = struct.unpack(">IIII", _read_header(fh, 16, images_path))
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(f"{images_path}: bad magic {magic:#010x}, "
-                              f"expected {IDX_IMAGES_MAGIC:#010x}")
-        buf = _read_payload(fh, n * h * w, images_path, "pixel data")
+    (n, h, w), buf = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "pixel data")
     images = np.frombuffer(buf, dtype=np.uint8).reshape(n, 1, h, w).astype(np.float32) / 255.0
-
-    with open(labels_path, "rb") as fh:
-        magic, n_lab = struct.unpack(">II", _read_header(fh, 8, labels_path))
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(f"{labels_path}: bad magic {magic:#010x}, "
-                              f"expected {IDX_LABELS_MAGIC:#010x}")
-        lab = _read_payload(fh, n_lab, labels_path, "label data")
+    (n_lab,), lab = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "label data")
     if n_lab != n:
         raise FormatError(f"{n} images but {n_lab} labels")
     labels = np.frombuffer(lab, dtype=np.uint8).astype(np.int64)

@@ -161,7 +161,7 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
     oracle. ``break_op`` flips the sign of that operation's analytic gradient
     so the harness can prove it detects faults.
     """
-    from . import attention, neuron, ops, training
+    from . import attention, network, neuron, ops, training
     from . import tensor as tz
 
     rng = np.random.default_rng(seed)
@@ -260,11 +260,12 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
     spk = Tensor((rng.random((2, 1, 2, 4, 4)) < 0.5).astype(np.float64))
     txa = attention.TxaParams.init(2, 2, rng, dtype=np.float64)
     tna = attention.TnaParams.init(2, 2, rng, dtype=np.float64)
-    for p in txa.parameters() + tna.parameters():
+    dta_params = [p for branch in (txa, tna) for _, p in network.named_leaves(branch)]
+    for p in dta_params:
         p.values[...] = rng.standard_normal(p.shape) * 0.3
     probe_d = Tensor(rng.standard_normal(spk.shape), dtype=np.float64)
     run("dta_block", 1e-3, lambda: tz.tsum(attention.dta(spk, txa, tna) * probe_d),
-        txa.parameters() + tna.parameters())
+        dta_params)
 
     # point-wise path at the residual downsample's geometry: 1x1, stride 2
     xp = param(2, 3, 5, 5, scale=0.5)

@@ -14,17 +14,21 @@ batch), and each spiking layer splits the leading axis into its T steps
 itself. Only the attention block, which mixes time and channels, sees
 (T, B, C, H, W), and only the per-step logits are unfolded, to be averaged
 over time.
+
+Every layer is a dataclass, and ``named_leaves`` walks their fields: it is the
+one source of parameter names, of the optimizer's parameter order and of the
+checkpoint's run order (parameters, then batch-norm buffers, in walk order).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import container
 from . import tensor as tz
-from .attention import TnaParams, TxaParams, dta, named_tensors
+from .attention import TnaParams, TxaParams, dta, uniform_fan_in
 from .neuron import LifParams, lif_unroll
 from .ops import BatchNormState, batch_norm_2d, conv2d, linear
 from .tensor import ShapeError, Tensor
@@ -98,49 +102,52 @@ def spec_mismatch(a: NetworkSpec, b: NetworkSpec) -> str | None:
     return None
 
 
+def named_leaves(obj, prefix: str = ""):
+    """``(name, leaf)`` for every Tensor and BatchNormState under the dataclass
+    *obj*, in field order, named by the dotted field path; the items of a list
+    field ``blocks`` are ``block0``, ``block1``, .... Fields are read through
+    the instance, so a proxy that delegates attribute reads hides no leaf."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, (Tensor, BatchNormState)):
+            yield prefix + f.name, value
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from named_leaves(item, f"{prefix}{f.name.removesuffix('s')}{i}.")
+        elif hasattr(value, "__dataclass_fields__"):  # a sub-layer or a config value
+            yield from named_leaves(value, f"{prefix}{f.name}.")
+
+
+@dataclass(eq=False)
 class Conv2dLayer:
     """Bias-free k x k convolution padded by (k-1)/2 (normalization follows
     every conv here)."""
 
-    def __init__(self, rng, cin, cout, k, stride=1):
-        self.stride = stride
-        self.padding = (k - 1) // 2
-        bound = 1.0 / np.sqrt(cin * k * k)
-        self.weight = Tensor(rng.uniform(-bound, bound, size=(cout, cin, k, k)),
-                             requires_grad=True, dtype=np.float32)
+    weight: Tensor  # (Cout, Cin, k, k)
+    stride: int
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-
-    def named_parameters(self, prefix):
-        return [(f"{prefix}.weight", self.weight)]
+        return conv2d(x, self.weight, stride=self.stride,
+                      padding=(self.weight.shape[-1] - 1) // 2)
 
 
+@dataclass(eq=False)
 class BatchNorm2dLayer:
-    def __init__(self, channels):
-        self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=np.float32)
-        self.beta = Tensor(np.zeros(channels), requires_grad=True, dtype=np.float32)
-        self.state = BatchNormState(channels)
+    gamma: Tensor
+    beta: Tensor
+    state: BatchNormState
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return batch_norm_2d(x, self.gamma, self.beta, self.state, training)
 
-    def named_parameters(self, prefix):
-        return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
 
-
+@dataclass(eq=False)
 class LinearLayer:
-    def __init__(self, rng, n_in, n_out):
-        bound = 1.0 / np.sqrt(n_in)
-        self.weight = Tensor(rng.uniform(-bound, bound, size=(n_out, n_in)),
-                             requires_grad=True, dtype=np.float32)
-        self.bias = Tensor(np.zeros(n_out), requires_grad=True, dtype=np.float32)
+    weight: Tensor  # (n_out, n_in)
+    bias: Tensor
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
-
-    def named_parameters(self, prefix):
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
 
 def _spike_layer(x: Tensor, p: LifParams, steps: int) -> Tensor:
@@ -149,20 +156,18 @@ def _spike_layer(x: Tensor, p: LifParams, steps: int) -> Tensor:
     return lif_unroll(x, p, steps)
 
 
+@dataclass(eq=False)
 class MsBlock:
     """Pre-activation residual block with a membrane (un-spiked) shortcut,
     over (T*B, C, H, W) activations of *steps* time steps."""
 
-    def __init__(self, rng, cin, cout, stride, lif: LifParams, steps: int):
-        self.lif = lif
-        self.steps = steps
-        self.conv1 = Conv2dLayer(rng, cin, cout, 3, stride=stride)
-        self.bn1 = BatchNorm2dLayer(cout)
-        self.conv2 = Conv2dLayer(rng, cout, cout, 3)
-        self.bn2 = BatchNorm2dLayer(cout)
-        self.downsample = None
-        if stride != 1 or cin != cout:
-            self.downsample = Conv2dLayer(rng, cin, cout, 1, stride=stride)
+    conv1: Conv2dLayer
+    bn1: BatchNorm2dLayer
+    conv2: Conv2dLayer
+    bn2: BatchNorm2dLayer
+    downsample: Conv2dLayer | None  # 1x1 projection where the shape changes
+    lif: LifParams
+    steps: int
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         h = self.bn1(self.conv1(_spike_layer(x, self.lif, self.steps)), training)
@@ -170,42 +175,18 @@ class MsBlock:
         identity = x if self.downsample is None else self.downsample(x)
         return h + identity
 
-    def named_parameters(self, prefix):
-        out = (self.conv1.named_parameters(f"{prefix}.conv1")
-               + self.bn1.named_parameters(f"{prefix}.bn1")
-               + self.conv2.named_parameters(f"{prefix}.conv2")
-               + self.bn2.named_parameters(f"{prefix}.bn2"))
-        if self.downsample is not None:
-            out += self.downsample.named_parameters(f"{prefix}.downsample")
-        return out
 
-    def bn_layers(self):
-        return [self.bn1, self.bn2]
-
-
+@dataclass(eq=False)
 class Network:
-    """A built backbone: layers, parameters, and the forward pass."""
+    """A built backbone: its layers, the forward pass, and readers of its leaves."""
 
-    def __init__(self, spec: NetworkSpec, seed: int):
-        self.spec = spec
-        rng = np.random.default_rng(seed)
-        lif = spec.lif
-        self.stem_conv = Conv2dLayer(rng, spec.in_channels, spec.stem_channels, 3)
-        self.stem_bn = BatchNorm2dLayer(spec.stem_channels)
-
-        # an absent branch has no parameters, and so does not run
-        enable_txa, enable_tna = spec.dta_enabled
-        t, c = spec.time_steps, spec.stem_channels
-        self.txa = TxaParams.init(t, c, rng) if enable_txa else None
-        self.tna = TnaParams.init(t, c, rng) if enable_tna else None
-
-        self.blocks: list[MsBlock] = []
-        cin = spec.stem_channels
-        for ch, count, stride in spec.stages:
-            for i in range(count):
-                self.blocks.append(MsBlock(rng, cin, ch, stride if i == 0 else 1, lif, t))
-                cin = ch
-        self.head = LinearLayer(rng, cin, spec.num_classes)
+    spec: NetworkSpec
+    stem_conv: Conv2dLayer
+    stem_bn: BatchNorm2dLayer
+    txa: TxaParams | None
+    tna: TnaParams | None
+    blocks: list[MsBlock]
+    head: LinearLayer
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         """Logits (B, num_classes) from input (T, B, Cin, H, W)."""
@@ -228,15 +209,7 @@ class Network:
         return tz.mean(logits_steps, axes=(0,))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = (self.stem_conv.named_parameters("stem_conv")
-               + self.stem_bn.named_parameters("stem_bn"))
-        for prefix, params in (("txa", self.txa), ("tna", self.tna)):
-            if params is not None:
-                out += [(f"{prefix}.{n}", t) for n, t in named_tensors(params)]
-        for i, block in enumerate(self.blocks):
-            out += block.named_parameters(f"block{i}")
-        out += self.head.named_parameters("head")
-        return out
+        return [(n, t) for n, t in named_leaves(self) if isinstance(t, Tensor)]
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -244,25 +217,46 @@ class Network:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def bn_layers(self) -> list[BatchNorm2dLayer]:
-        out = [self.stem_bn]
-        for block in self.blocks:
-            out += block.bn_layers()
-        return out
-
     def state_arrays(self) -> list[np.ndarray]:
-        """Parameters plus batch-norm buffers, in declaration order."""
+        """Parameters, then each batch norm's running mean, running variance
+        and batch count, all in walk order."""
         arrays = [p.values for p in self.parameters()]
-        for bn in self.bn_layers():
-            st = bn.state
-            arrays += [st.running_mean, st.running_var,
-                       np.array([st.batches_tracked], dtype=np.float32)]
+        for _, st in named_leaves(self):
+            if isinstance(st, BatchNormState):
+                arrays += [st.running_mean, st.running_var,
+                           np.array([st.batches_tracked], dtype=np.float32)]
         return arrays
 
 
 def build(spec: NetworkSpec, seed: int) -> Network:
-    """Deterministically initialized network; same seed, same bits."""
-    return Network(spec, seed)
+    """Deterministically initialized network; same seed, same bits. The RNG
+    draws for the stem conv, T-XA, T-NA, each block's convs, then the head."""
+    rng = np.random.default_rng(seed)
+
+    def conv(cin, cout, k, stride=1):
+        return Conv2dLayer(uniform_fan_in(rng, (cout, cin, k, k), cin * k * k, np.float32), stride)
+
+    def bn(channels):
+        return BatchNorm2dLayer(Tensor(np.ones(channels), requires_grad=True, dtype=np.float32),
+                                Tensor(np.zeros(channels), requires_grad=True, dtype=np.float32),
+                                BatchNormState(channels))
+
+    t, c = spec.time_steps, spec.stem_channels
+    stem_conv = conv(spec.in_channels, c, 3)
+    # an absent branch has no parameters, and so does not run
+    txa = TxaParams.init(t, c, rng) if spec.dta_enabled[0] else None
+    tna = TnaParams.init(t, c, rng) if spec.dta_enabled[1] else None
+    blocks, cin = [], c
+    for cout, count, first_stride in spec.stages:
+        for i in range(count):
+            stride = first_stride if i == 0 else 1
+            conv1, conv2 = conv(cin, cout, 3, stride), conv(cout, cout, 3)
+            downsample = conv(cin, cout, 1, stride) if stride != 1 or cin != cout else None
+            blocks.append(MsBlock(conv1, bn(cout), conv2, bn(cout), downsample, spec.lif, t))
+            cin = cout
+    head = LinearLayer(uniform_fan_in(rng, (spec.num_classes, cin), cin, np.float32),
+                       Tensor(np.zeros(spec.num_classes), requires_grad=True, dtype=np.float32))
+    return Network(spec, stem_conv, bn(c), txa, tna, blocks, head)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +284,9 @@ def load_checkpoint(path) -> Network:
     it = iter(runs)
     for p in net.parameters():
         p.values[...] = next(it).reshape(p.shape).astype(p.dtype)
-    for bn in net.bn_layers():
-        st = bn.state
-        st.running_mean[...] = next(it).astype(st.dtype)
-        st.running_var[...] = next(it).astype(st.dtype)
-        st.batches_tracked = int(next(it)[0])
+    for _, st in named_leaves(net):
+        if isinstance(st, BatchNormState):
+            st.running_mean[...] = next(it).astype(st.dtype)
+            st.running_var[...] = next(it).astype(st.dtype)
+            st.batches_tracked = int(next(it)[0])
     return net

@@ -327,28 +327,26 @@ def _norm_axes(axes, ndim) -> tuple:
     return out
 
 
-def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+def mean(a: Tensor, axes=None) -> Tensor:
     axes = _norm_axes(axes, a.ndim)
-    out = a.values.mean(axis=axes, keepdims=keepdims)
+    out = a.values.mean(axis=axes)
     n = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
     in_shape = a.shape
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
+        g = np.expand_dims(g, axes)
         return (np.broadcast_to(g / n, in_shape).astype(g.dtype, copy=False).copy(),)
 
     return apply_primitive((a,), out, bwd)
 
 
-def tsum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor, axes=None) -> Tensor:
     axes = _norm_axes(axes, a.ndim)
-    out = a.values.sum(axis=axes, keepdims=keepdims)
+    out = a.values.sum(axis=axes)
     in_shape = a.shape
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
+        g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, in_shape).astype(g.dtype, copy=False).copy(),)
 
     return apply_primitive((a,), out, bwd)

@@ -107,20 +107,22 @@ def sgd_step(params, velocities, lr: float, momentum: float, weight_decay: float
              names=None) -> None:
     """v <- momentum*v + grad + wd*param; param <- param - lr*v, in place.
 
-    A missing gradient counts as zero (weight decay still applies). Aborts on
-    the first non-finite gradient, naming the parameter.
+    A missing gradient counts as zero (weight decay still applies). Every
+    gradient is checked before any parameter moves: a non-finite one aborts,
+    naming its parameter, with all values and velocities left as they were.
     """
     if len(params) != len(velocities):
         raise ValueError(f"{len(params)} params but {len(velocities)} velocity buffers")
-    for i, (p, v) in enumerate(zip(params, velocities)):
-        g = p.grad if p.grad is not None else np.zeros_like(p.values)
-        if not np.all(np.isfinite(g)):
+    for i, p in enumerate(params):
+        g = p.grad
+        if g is not None and not np.all(np.isfinite(g)):
             name = names[i] if names else f"param[{i}]"
             raise NumericsError(f"non-finite gradient in {name}: "
                                 f"|g|_max={np.abs(g[np.isfinite(g)]).max(initial=0):.3e}, "
                                 f"nan={int(np.isnan(g).sum())}, inf={int(np.isinf(g).sum())}")
+    for p, v in zip(params, velocities):
         v *= momentum
-        v += g + weight_decay * p.values
+        v += (0.0 if p.grad is None else p.grad) + weight_decay * p.values
         p.values -= (lr * v).astype(p.dtype, copy=False)
 
 

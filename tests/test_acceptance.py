@@ -18,7 +18,7 @@ from dtasnn.cli import ABLATION_ROWS, ablation_warnings, format_ablation_table, 
 from dtasnn.config import RunConfig
 from dtasnn.data import SynthSpec, gen_synthetic, load_idx, parse_cifar_records
 from dtasnn.gradcheck import lif_input_grad_oracle, run_suite
-from dtasnn.network import NetworkSpec, build, load_checkpoint, save_checkpoint
+from dtasnn.network import NetworkSpec, build, load_checkpoint, named_leaves, save_checkpoint
 from dtasnn.neuron import LifParams, lif_unroll, surrogate_values
 from dtasnn.tensor import ComputationRecord, Tensor, backward, zero_grads
 from dtasnn.training import TrainConfig, evaluate, train
@@ -61,7 +61,7 @@ def test_ac1_oracle_equivalence(rng):
         r = np.random.default_rng(seed)
         txa = TxaParams.init(2, 2, r, dtype=np.float64)
         tna = TnaParams.init(2, 2, r, dtype=np.float64)
-        for t in txa.parameters() + tna.parameters():
+        for _, t in [*named_leaves(txa), *named_leaves(tna)]:
             t.values[...] = r.standard_normal(t.shape) * 0.4
         xv = r.standard_normal((2, 1, 2, 4, 4))
         x = Tensor(xv, dtype=np.float64)

@@ -5,7 +5,8 @@ import pytest
 
 from dtasnn import tensor as tz
 from dtasnn.attention import (TnaParams, TxaParams, dta, gtca, local_attention, ltca,
-                              named_tensors, smp, t_na, t_xa)
+                              smp, t_na, t_xa)
+from dtasnn.network import named_leaves
 from dtasnn.tensor import ComputationRecord, Tensor, backward, zero_grads
 
 import oracles
@@ -15,7 +16,7 @@ def f64_params(time_steps, channels, rng, scale=0.3):
     """(T-XA, T-NA) parameters in float64, redrawn from a normal of std *scale*."""
     txa = TxaParams.init(time_steps, channels, rng, dtype=np.float64)
     tna = TnaParams.init(time_steps, channels, rng, dtype=np.float64)
-    for t in txa.parameters() + tna.parameters():
+    for _, t in [*named_leaves(txa), *named_leaves(tna)]:
         t.values[...] = rng.standard_normal(t.shape) * scale
     return txa, tna
 
@@ -249,14 +250,14 @@ class TestDta:
         tna.mb_squeeze_b.values += 0.5  # keep the bottleneck ReLU partly live
         spikes = binary_spikes(rng, (4, 2, 2, 5, 5))
         neg_target = Tensor(-rng.standard_normal(spikes.shape), dtype=np.float64)
-        params = txa.parameters() + tna.parameters()
+        named = [*named_leaves(txa), *named_leaves(tna)]
+        params = [t for _, t in named]
         zero_grads(params)
         with ComputationRecord():
             out = dta(spikes, txa, tna)
             err = out + neg_target
             backward(tz.mean(err * err))
-        names = [n for n, _ in named_tensors(txa) + named_tensors(tna)]
-        assert len(names) == len(params) == 13
-        for name, t in zip(names, params):
+        assert len(params) == 13
+        for name, t in named:
             assert t.grad is not None, f"{name} missing grad"
             assert np.abs(t.grad).max() > 0.0, f"{name} has all-zero grad"

@@ -70,9 +70,25 @@ class TestTrainCommand:
         assert code == 2
         assert "train-images-idx3-ubyte: truncated pixel data" in capsys.readouterr().err
 
-    def test_deterministic_flag_accepted(self, tmp_path):
-        code, _ = run_fast_train(tmp_path, ["--deterministic", "--epochs", "1"])
-        assert code == 0
+    def test_missing_idx_files_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "idx"
+        data.mkdir()
+        code = main(["train", "--dataset", "idx", "--data_dir", str(data),
+                     "--in_channels", "1", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "train-images-idx3-ubyte" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "synth-data"])
+    def test_output_directory_under_a_file_exit_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main([command, "--out", str(blocker / "x")] + FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(blocker / "x") in err
+        assert "Traceback" not in err
 
     def test_zero_epochs_writes_initial_checkpoint(self, tmp_path):
         code, out = run_fast_train(tmp_path, ["--epochs", "0"])

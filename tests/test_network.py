@@ -1,7 +1,9 @@
 """Backbone assembly, forward dataflow, time folding, checkpoint container."""
 
+import hashlib
 import json
 import os
+import stat
 import struct
 import zlib
 from collections import Counter
@@ -15,8 +17,8 @@ from dtasnn.container import MAGIC as CHECKPOINT_MAGIC, MAGIC_V1 as CHECKPOINT_M
 from dtasnn.data import FormatError, SynthSpec, gen_synthetic, load_synthetic, save_synthetic
 from dtasnn.neuron import LifParams
 from dtasnn.network import (CheckpointError, NetworkSpec, build, load_checkpoint,
-                            save_checkpoint, spec_mismatch)
-from dtasnn.ops import conv2d
+                            named_leaves, save_checkpoint, spec_mismatch)
+from dtasnn.ops import BatchNormState, conv2d
 from dtasnn.tensor import ComputationRecord, ShapeError, Tensor, backward
 from dtasnn.training import cross_entropy
 
@@ -99,6 +101,44 @@ class TestBuild:
             branch, field = name.split(".")
             assert t is getattr(getattr(net, branch), field)
 
+    def test_parameter_names_and_order(self):
+        # the order is the order of the checkpoint's runs and of the RNG draws
+        assert [n for n, _ in build(MINI, seed=0).named_parameters()] == [
+            "stem_conv.weight", "stem_bn.gamma", "stem_bn.beta",
+            "txa.tla_kernel", "txa.cla_kernel", "txa.p_t", "txa.p_c",
+            "tna.encode", "tna.dw", "tna.ddw", "tna.pw", "tna.mb_squeeze_w",
+            "tna.mb_squeeze_b", "tna.mb_expand_w", "tna.mb_expand_b", "tna.decode",
+            "block0.conv1.weight", "block0.bn1.gamma", "block0.bn1.beta",
+            "block0.conv2.weight", "block0.bn2.gamma", "block0.bn2.beta",
+            "block1.conv1.weight", "block1.bn1.gamma", "block1.bn1.beta",
+            "block1.conv2.weight", "block1.bn2.gamma", "block1.bn2.beta",
+            "block1.downsample.weight", "head.weight", "head.bias"]
+
+    def test_walk_sees_through_delegating_layer_proxies(self, rng):
+        # a proxy that forwards calls and attribute reads to the layer it
+        # wraps, as a tracer's does, hides none of the layer's state
+        class Delegating:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __call__(self, *args, **kwargs):
+                return self._inner(*args, **kwargs)
+
+            def __getattr__(self, attr):
+                return getattr(self._inner, attr)
+
+        net = build(MINI, seed=0)
+        net.forward(Tensor(rng.standard_normal((4, 2, 3, 8, 8)).astype(np.float32)),
+                    training=True)
+        params, arrays = net.parameters(), net.state_arrays()
+        net.stem_conv = Delegating(net.stem_conv)
+        net.stem_bn = Delegating(net.stem_bn)
+        net.blocks = [Delegating(b) for b in net.blocks]
+        net.head = Delegating(net.head)
+        assert len(net.parameters()) == len(params)
+        assert all(a is b for a, b in zip(net.parameters(), params))
+        assert [a.tobytes() for a in net.state_arrays()] == [a.tobytes() for a in arrays]
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             NetworkSpec(time_steps=0)
@@ -117,11 +157,15 @@ class TestBuild:
 
     def test_parameters_and_buffers_are_float32(self):
         net = build(MINI, seed=0)
+        states = [(n, st) for n, st in named_leaves(net) if isinstance(st, BatchNormState)]
+        assert [n for n, _ in states] == ["stem_bn.state", "block0.bn1.state",
+                                          "block0.bn2.state", "block1.bn1.state",
+                                          "block1.bn2.state"]
         for name, p in net.named_parameters():
             assert p.dtype == np.float32, name
-        for bn in net.bn_layers():
-            assert bn.state.running_mean.dtype == np.float32
-            assert bn.state.running_var.dtype == np.float32
+        for name, st in states:
+            assert st.running_mean.dtype == np.float32, name
+            assert st.running_var.dtype == np.float32, name
 
 
 class TestForward:
@@ -220,7 +264,7 @@ class TestTimeFolding:
             np.testing.assert_array_equal(unfolded[t], step)
 
     def test_bn_eval_fold_equals_per_step_loop(self, rng):
-        from dtasnn.ops import BatchNormState, batch_norm_2d
+        from dtasnn.ops import batch_norm_2d
         st = BatchNormState(3)
         st.running_mean = rng.standard_normal(3).astype(np.float32)
         st.running_var = (rng.random(3).astype(np.float32) + 0.5)
@@ -243,12 +287,11 @@ class TestSingleStepEquivalence:
                            stages=((8, 1, 1),), num_classes=3,
                            lif=LifParams(tau=0.5, v_th=1.0))
         net = build(spec, seed=3)
-        for bn in net.bn_layers():
-            bn.state.running_mean = rng.standard_normal(
-                bn.state.num_features).astype(np.float32) * 0.1
-            bn.state.running_var = rng.random(bn.state.num_features).astype(
-                np.float32) + 0.5
-            bn.state.batches_tracked = 1
+        for _, st in named_leaves(net):
+            if isinstance(st, BatchNormState):
+                st.running_mean = rng.standard_normal(st.num_features).astype(np.float32) * 0.1
+                st.running_var = rng.random(st.num_features).astype(np.float32) + 0.5
+                st.batches_tracked = 1
 
         def bn_eval(h, bn):
             st = bn.state
@@ -310,6 +353,25 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for a, b in zip(build(MINI, seed=0).state_arrays(), loaded.state_arrays()):
             assert a.tobytes() == b.tobytes()
+
+    @CONTAINERS
+    def test_write_fsyncs_file_before_replace_and_directory_after(
+            self, tmp_path, monkeypatch, save, load, error):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save(tmp_path / "net.dtasnn")
+        assert events == ["fsync file", "replace", "fsync dir"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "net.dtasnn"
@@ -398,6 +460,13 @@ class TestCheckpoint:
         assert spec_mismatch(loaded.spec, net.spec) is None
         for a, b in zip(net.state_arrays(), loaded.state_arrays()):
             assert a.tobytes() == b.tobytes()
+
+    def test_seed_zero_checkpoint_bytes(self, tmp_path):
+        # pins the RNG draw order, the run order and the header together
+        path = tmp_path / "net.dtasnn"
+        save_checkpoint(path, build(MINI, seed=0))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8c31719b611cbdb382f08e8e89c7461291a6b0d43b3842664f261594b56335aa")
 
     def test_v2_layout_is_byte_exact(self, tmp_path):
         net = build(TINY, seed=0)

@@ -207,18 +207,6 @@ class TestReductions:
         with pytest.raises(ShapeError):
             tz.mean(Tensor(np.zeros((2, 2))), axes=(5,))
 
-    def test_mean_keepdims_keeps_reduced_axes(self, rng):
-        xv = rng.standard_normal((2, 3, 4, 5))
-        x = leaf(xv)
-        g = rng.standard_normal((2, 3, 1, 1))
-        with ComputationRecord():
-            out = tz.mean(x, axes=(2, 3), keepdims=True)
-            backward(tz.tsum(out * Tensor(g, dtype=np.float64)))
-        assert out.shape == (2, 3, 1, 1)
-        np.testing.assert_allclose(out.values, xv.mean(axis=(2, 3), keepdims=True),
-                                   rtol=1e-6)
-        np.testing.assert_allclose(x.grad, np.broadcast_to(g / 20.0, xv.shape), rtol=1e-6)
-
 
 class TestLayout:
     def test_reshape_round_trip(self, rng):

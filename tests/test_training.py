@@ -12,8 +12,9 @@ import pytest
 from dtasnn import training
 from dtasnn.config import load_config
 from dtasnn.data import SynthSpec, gen_synthetic
-from dtasnn.network import NetworkSpec, build, load_checkpoint
+from dtasnn.network import NetworkSpec, build, load_checkpoint, named_leaves
 from dtasnn.neuron import LifParams
+from dtasnn.ops import BatchNormState
 from dtasnn.training import (MetricsRecord, NumericsError, TrainConfig,
                              clip_gradients, cosine_lr, cross_entropy, evaluate,
                              sgd_step, stack_batch, train)
@@ -129,6 +130,19 @@ class TestSgd:
             sgd_step([p], [np.zeros(1)], lr=0.1, momentum=0.9, weight_decay=0.0,
                      names=["stem.weight"])
 
+    def test_nonfinite_gradient_moves_no_parameter(self):
+        # the bad gradient is the last one, after two good ones
+        params = [self._param([1.0, 2.0]), self._param([3.0]), self._param([4.0])]
+        params[0].grad, params[1].grad = np.array([0.5, -1.0]), np.array([2.0])
+        params[2].grad = np.array([np.nan])
+        velocities = [np.array([0.1, 0.2]), np.array([0.3]), np.array([0.4])]
+        values_before = [p.values.tobytes() for p in params]
+        velocities_before = [v.tobytes() for v in velocities]
+        with pytest.raises(NumericsError, match="param\\[2\\]"):
+            sgd_step(params, velocities, lr=0.1, momentum=0.9, weight_decay=0.01)
+        assert [p.values.tobytes() for p in params] == values_before
+        assert [v.tobytes() for v in velocities] == velocities_before
+
     def test_weight_decay_shrinks_norms_monotonically(self):
         p = self._param(np.ones(4) * 3.0)
         v = [np.zeros(4)]
@@ -166,8 +180,9 @@ class TestCosine:
 class TestEvaluate:
     def test_constant_logits_tie_to_lowest_class(self):
         net = build(TINY_NET, seed=0)
-        for bn in net.bn_layers():
-            bn.state.batches_tracked = 1
+        for _, st in named_leaves(net):
+            if isinstance(st, BatchNormState):
+                st.batches_tracked = 1
         net.head.weight.values[...] = 0.0
         net.head.bias.values[...] = 0.0
         samples = gen_synthetic(TINY_DATA, 40)
