@@ -9,18 +9,56 @@ gradient is dropped as soon as its node's backward has consumed it. A tensor
 that neither requires gradients nor is the output of a recorded primitive is
 a constant and never receives gradients.
 
+Memory: :func:`backward` takes each node off its record as the node's turn
+comes, so the node's output and the arrays its backward keeps are freed
+during the backward, and a record holds no tape once its backward returns.
+A record whose ``with`` block raises drops its tape on exit. Importing this
+module pins two glibc allocator thresholds for the process (see
+:func:`_keep_freed_pages`), so a freed tape stays in the heap and the next
+step reuses it instead of faulting fresh pages in.
+
 Default element type is float32. Kernels are dtype-generic, so verification
 code may run the same graph in float64 by constructing float64 tensors.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import erf as _erf, expit as _expit
 
 DEFAULT_DTYPE = np.float32
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages(open_libc=ctypes.CDLL) -> None:
+    """Keep freed tape memory in this process's heap for the next step.
+
+    A step frees its tape node by node during the backward. With glibc's
+    defaults, large blocks are mapped one by one and unmapped when freed,
+    and free memory at the top of the heap is trimmed, so every step
+    faults its tape back in. Serving blocks below 32 MiB (glibc's highest
+    mmap threshold on 64-bit) from the heap, and trimming only past 1 GiB
+    free, keeps those pages mapped.
+    This acts on the calling process's allocator only. On a C library
+    without ``mallopt`` it does nothing.
+    """
+    try:
+        mallopt = open_libc(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_freed_pages()
 
 
 class ShapeError(ValueError):
@@ -134,22 +172,15 @@ class _Node:
 
 _ACTIVE: "ComputationRecord | None" = None
 
-# The record whose backward ran last. Its nodes hold it in a reference cycle
-# (node -> out -> rec -> nodes), so the next backward clears them, before it
-# runs: the gradients it allocates then reuse that tape's memory. Clearing a
-# record's own nodes right after its backward, or the previous record's only
-# after this one's, makes every step return pages to the allocator and fault
-# them in again.
-_LAST_BACKWARD: "ComputationRecord | None" = None
-
 
 class ComputationRecord:
     """Append-only tape of executed primitives.
 
     Creation order is topological order; :func:`backward` traverses it in
-    exact reverse. A record is single-use: a second backward raises
-    :class:`RecordError`. Its nodes stay until the next record's backward
-    starts, or :func:`release_last_tape` runs, which clears them.
+    exact reverse, taking each node off the tape as it goes, so the tape is
+    empty once the backward returns. A record is single-use: a second
+    backward raises :class:`RecordError`. If the ``with`` block exits on an
+    exception, the record drops its nodes and refuses a later backward too.
     """
 
     def __init__(self):
@@ -166,6 +197,11 @@ class ComputationRecord:
     def __exit__(self, exc_type, exc, tb) -> None:
         global _ACTIVE
         _ACTIVE = None
+        if exc_type is not None:
+            # the nodes hold the record in a cycle (node -> out -> rec ->
+            # nodes); clearing them frees an aborted step's tape now
+            self.nodes.clear()
+            self._backward_done = True
 
 
 def apply_primitive(inputs: tuple, out_values: np.ndarray,
@@ -197,47 +233,38 @@ def backward(loss: Tensor) -> None:
     its k partials. Every consumer of a node's output was recorded after it,
     so the output's gradient is complete when the node's turn comes; it is
     dropped once the node's backward has run, and only leaves (tensors that
-    require gradients) keep a ``.grad`` afterwards. Raises on a non-scalar
-    loss, a loss detached from any record, or a record whose backward already
-    ran. Otherwise it first clears the nodes of the record whose backward ran
-    before this one, freeing that tape.
+    require gradients) keep a ``.grad`` afterwards. Each node leaves the
+    record as its turn comes, so its output and the arrays its backward
+    keeps are freed before the nodes recorded earlier run, and the record is
+    empty when this returns, also when a node's backward raises. Raises on a
+    non-scalar loss, a loss detached from any record, or a record whose
+    backward already ran or whose block raised.
     """
-    global _LAST_BACKWARD
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     rec = loss.rec
     if rec is None:
         raise RecordError("loss is not attached to a computation record")
     if rec._backward_done:
-        raise RecordError("backward was already called on this record")
+        raise RecordError("backward was already called on this record, or its block raised")
     rec._backward_done = True
-    release_last_tape()
+    nodes = rec.nodes
     loss.grad = np.ones_like(loss.values)
-    for node in reversed(rec.nodes):
-        g = node.out.grad
-        if g is None:
-            continue
-        partials = node.backward_fn(g)
-        node.out.grad = None
-        for t, p in zip(node.inputs, partials):
-            if p is None:
+    try:
+        while nodes:
+            node = nodes.pop()
+            g = node.out.grad
+            if g is None:
                 continue
-            if t.rec is rec or t.requires_grad:
-                t.grad = p if t.grad is None else t.grad + p
-    _LAST_BACKWARD = rec
-
-
-def release_last_tape() -> None:
-    """Clear the nodes of the record whose backward ran last, freeing its tape.
-
-    :func:`backward` does this for the previous record each time it runs; a
-    loop that stops running backward (``training.train`` when it returns)
-    calls it so that its last step's tape is not kept alive.
-    """
-    global _LAST_BACKWARD
-    if _LAST_BACKWARD is not None:
-        _LAST_BACKWARD.nodes.clear()
-        _LAST_BACKWARD = None
+            partials = node.backward_fn(g)
+            node.out.grad = None
+            for t, p in zip(node.inputs, partials):
+                if p is None:
+                    continue
+                if t.rec is rec or t.requires_grad:
+                    t.grad = p if t.grad is None else t.grad + p
+    finally:
+        nodes.clear()
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -198,46 +198,41 @@ def train(net: Network, train_samples, val_samples, cfg: TrainConfig,
         save_checkpoint(cfg.checkpoint_path, net)
     best_acc = -1.0
 
-    try:
-        for epoch in range(cfg.epochs):
-            lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.lr_min)
-            samples = list(train_samples)
-            if epoch_transform is not None:
-                samples = epoch_transform(samples, rng)
-            order = rng.permutation(len(samples))
-            t0 = time.perf_counter()
-            epoch_loss = 0.0
-            correct = 0
-            for start in range(0, len(order), cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                x, labels = stack_batch([samples[i] for i in idx])
-                zero_grads(params)
-                with ComputationRecord():
-                    logits = net.forward(x, training=True)
-                    loss = cross_entropy(logits, labels)
-                    loss_val = loss.item()
-                    if not np.isfinite(loss_val):
-                        raise NumericsError(f"non-finite loss {loss_val} at epoch {epoch}")
-                    backward(loss)
-                if cfg.clip > 0.0:
-                    clip_gradients(params, cfg.clip)
-                sgd_step(params, velocities, lr, cfg.momentum, cfg.weight_decay, names)
-                epoch_loss += loss_val * len(idx)
-                correct += int((np.argmax(logits.values, axis=1) == np.asarray(labels)).sum())
-            n = len(order)
-            emit(MetricsRecord(epoch=epoch, split="train", loss=epoch_loss / n,
-                               accuracy=correct / n, lr=lr,
-                               wall_seconds=time.perf_counter() - t0))
-            if val_samples:
-                rec = evaluate(net, val_samples, cfg.batch_size, epoch=epoch, lr=lr)
-                emit(rec)
-                if cfg.checkpoint_path and rec.accuracy > best_acc:
-                    best_acc = rec.accuracy
-                    save_checkpoint(cfg.checkpoint_path, net)
-            elif cfg.checkpoint_path:
+    for epoch in range(cfg.epochs):
+        lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.lr_min)
+        samples = list(train_samples)
+        if epoch_transform is not None:
+            samples = epoch_transform(samples, rng)
+        order = rng.permutation(len(samples))
+        t0 = time.perf_counter()
+        epoch_loss = 0.0
+        correct = 0
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            x, labels = stack_batch([samples[i] for i in idx])
+            zero_grads(params)
+            with ComputationRecord():
+                logits = net.forward(x, training=True)
+                loss = cross_entropy(logits, labels)
+                loss_val = loss.item()
+                if not np.isfinite(loss_val):
+                    raise NumericsError(f"non-finite loss {loss_val} at epoch {epoch}")
+                backward(loss)
+            if cfg.clip > 0.0:
+                clip_gradients(params, cfg.clip)
+            sgd_step(params, velocities, lr, cfg.momentum, cfg.weight_decay, names)
+            epoch_loss += loss_val * len(idx)
+            correct += int((np.argmax(logits.values, axis=1) == np.asarray(labels)).sum())
+        n = len(order)
+        emit(MetricsRecord(epoch=epoch, split="train", loss=epoch_loss / n,
+                           accuracy=correct / n, lr=lr,
+                           wall_seconds=time.perf_counter() - t0))
+        if val_samples:
+            rec = evaluate(net, val_samples, cfg.batch_size, epoch=epoch, lr=lr)
+            emit(rec)
+            if cfg.checkpoint_path and rec.accuracy > best_acc:
+                best_acc = rec.accuracy
                 save_checkpoint(cfg.checkpoint_path, net)
-    finally:
-        # the last step's tape would otherwise stay alive until the next
-        # backward anywhere in the process, through every later evaluate
-        tz.release_last_tape()
+        elif cfg.checkpoint_path:
+            save_checkpoint(cfg.checkpoint_path, net)
     return metrics

@@ -1,6 +1,7 @@
 """Core tensor and tape semantics: broadcasting, backward rules, determinism."""
 
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -126,43 +127,92 @@ class TestBackwardSemantics:
             with pytest.raises(RecordError):
                 y * two
 
-    def test_previous_tape_freed_by_next_backward(self):
+    def test_tape_freed_when_its_own_backward_returns(self):
         # with the cyclic GC off, only the engine can free a finished tape
         a = leaf([0.5, -1.0])
         two = Tensor([2.0], dtype=np.float64)
-
-        def step():
-            with ComputationRecord() as rec:
-                backward(tz.tsum(tz.sigmoid(a * two)))
-            return weakref.ref(rec.nodes[0].out.values)
-
         gc.disable()
         try:
-            first = step()
-            assert first() is not None
-            second = step()
-            assert first() is None
-            assert second() is not None
+            with ComputationRecord() as rec:
+                loss = tz.tsum(tz.sigmoid(a * two))
+                # every node output but the loss, which this frame holds
+                taped = [weakref.ref(n.out.values) for n in rec.nodes[:-1]]
+                backward(loss)
+                alive = [r for r in taped if r() is not None]
         finally:
             gc.enable()
+        assert len(taped) == 2 and not alive and rec.nodes == []
+        assert a.grad is not None
 
-
-    def test_previous_tape_freed_before_next_backward_runs(self):
-        # the next backward's gradients can then reuse that tape's memory
+    def test_node_released_before_earlier_nodes_run(self):
+        # a node's output and closure die before the nodes recorded
+        # before it run, so their backward can reuse that memory
         a = leaf([0.5, -1.0])
-        two = Tensor([2.0], dtype=np.float64)
-        with ComputationRecord() as first:
-            backward(tz.tsum(tz.sigmoid(a * two)))
-        kept = len(first.nodes)
         seen = []
 
         def bwd(g):
-            seen.append(len(first.nodes))
+            seen.append((len(rec.nodes), later()))
             return (g,)
 
-        with ComputationRecord():
-            backward(tz.tsum(tz.apply_primitive((a,), a.values.copy(), bwd)))
-        assert kept == 3 and seen == [0]
+        gc.disable()
+        try:
+            with ComputationRecord() as rec:
+                y = tz.sigmoid(tz.apply_primitive((a,), a.values.copy(), bwd))
+                later = weakref.ref(y.values)
+                loss = tz.tsum(y)
+                del y
+                recorded = len(rec.nodes)
+                backward(loss)
+        finally:
+            gc.enable()
+        assert recorded == 3 and seen == [(0, None)]
+
+    def test_block_that_raises_drops_its_tape(self):
+        a = leaf([0.5, -1.0])
+        gc.disable()
+        try:
+            with pytest.raises(ZeroDivisionError):
+                with ComputationRecord() as rec:
+                    loss = tz.tsum(tz.sigmoid(a * a))
+                    taped = [weakref.ref(n.out.values) for n in rec.nodes[:-1]]
+                    1 / 0
+            alive = [r for r in taped if r() is not None]
+        finally:
+            gc.enable()
+        assert len(taped) == 2 and not alive and rec.nodes == []
+        with pytest.raises(RecordError):
+            backward(loss)
+        assert a.grad is None
+
+    def test_tape_cleared_when_a_node_backward_raises(self):
+        a = leaf([0.5, -1.0])
+
+        def bwd(g):
+            raise FloatingPointError("bad partial")
+
+        with ComputationRecord() as rec:
+            loss = tz.tsum(tz.sigmoid(tz.apply_primitive((a,), a.values.copy(), bwd)))
+            with pytest.raises(FloatingPointError):
+                backward(loss)
+        assert rec.nodes == []
+        with pytest.raises(RecordError):
+            backward(loss)
+
+
+class TestAllocatorThresholds:
+    def test_thresholds_set_through_mallopt(self):
+        calls = []
+        libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        tz._keep_freed_pages(lambda name: libc)
+        # M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 1 GiB
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_library_without_mallopt_skipped(self):
+        def unloadable(name):
+            raise OSError("no C library")
+
+        tz._keep_freed_pages(lambda name: types.SimpleNamespace())
+        tz._keep_freed_pages(unloadable)
 
 
 class TestActivations:

@@ -1,8 +1,12 @@
 """Loss, optimizer, schedule, evaluation, and end-to-end loop behavior."""
 
 import gc
+import json
 import math
 import os
+import statistics
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
@@ -38,6 +42,52 @@ def test_desk_step_keeps_every_gradient_float32():
         backward(cross_entropy(net.forward(x, training=True), labels))
     dtypes = {n: None if p.grad is None else p.grad.dtype for n, p in net.named_parameters()}
     assert {n: d for n, d in dtypes.items() if d != np.float32} == {}
+
+
+# Eight training steps of the desk model (configs/synthetic.cfg, B=64) in a
+# fresh process, whose allocator holds no earlier test's heap; prints the
+# minor page faults of each step as a JSON list.
+_FAULT_PROBE = """
+import json, resource, sys
+import numpy as np
+from dtasnn.config import load_config
+from dtasnn.data import gen_synthetic
+from dtasnn.network import build
+from dtasnn.tensor import ComputationRecord, backward, zero_grads
+from dtasnn.training import cross_entropy, sgd_step, stack_batch
+
+cfg = load_config(sys.argv[1])
+net = build(cfg.network_spec(), seed=0)
+params = net.parameters()
+names = [n for n, _ in net.named_parameters()]
+velocities = [np.zeros_like(p.values) for p in params]
+x, labels = stack_batch(gen_synthetic(cfg.synth_spec(0), 64))
+faults = []
+for _ in range(8):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    zero_grads(params)
+    with ComputationRecord():
+        backward(cross_entropy(net.forward(x, training=True), labels))
+    sgd_step(params, velocities, 0.05, 0.9, 5e-5, names)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def test_steady_state_training_steps_fault_in_no_fresh_pages():
+    # a step frees its tape during its backward; with glibc's default
+    # thresholds those pages go back to the kernel and every later step
+    # faults thousands back in, against none once the heap keeps them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(training.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic.cfg")
+    run = subprocess.run([sys.executable, "-c", _FAULT_PROBE, cfg], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    faults = json.loads(run.stdout)
+    assert len(faults) == 8
+    assert statistics.median(faults[2:]) < 500, faults
 
 
 class TestCrossEntropy:
@@ -88,8 +138,9 @@ class TestCrossEntropy:
         logits = Tensor(lv, requires_grad=True, dtype=np.float64)
         with ComputationRecord() as rec:
             loss = cross_entropy(logits, labels)
+            recorded = len(rec.nodes)
             backward(loss)
-        assert len(rec.nodes) == 1
+        assert recorded == 1
         want_loss, want_grad = cross_entropy_ref(lv, labels)
         assert loss.item() == pytest.approx(want_loss, rel=1e-12, abs=1e-15)
         np.testing.assert_allclose(logits.grad, want_grad, rtol=1e-10, atol=1e-15)
@@ -269,8 +320,8 @@ class TestTrainLoop:
         kept = []
 
         def backward_keeping_tape(loss):
-            backward(loss)
             kept.append(list(loss.rec.nodes))
+            backward(loss)
 
         # every step's tape stays alive, as when the engine freed none
         monkeypatch.setattr(training, "backward", backward_keeping_tape)
@@ -279,24 +330,35 @@ class TestTrainLoop:
         for a, b in zip(freed, held):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("abort", [False, True])
+    # abort: False runs to the end; True raises on a non-finite gradient
+    # after backward (in sgd_step); "loss" raises on a non-finite loss
+    # inside the record's block, before backward runs
+    @pytest.mark.parametrize("abort", [False, True, "loss"])
     def test_last_step_tape_freed_when_train_returns(self, monkeypatch, abort):
         net = build(TINY_NET, seed=4)
         taped = []
 
-        def backward_watching_tape(loss):
-            backward(loss)
-            taped[:] = [weakref.ref(n.out.values) for n in loss.rec.nodes]
-            if abort:  # a non-finite gradient: sgd_step raises NumericsError
-                net.head.weight.grad[0, 0] = np.inf
+        def cross_entropy_watching_tape(logits, labels):
+            loss = cross_entropy(logits, labels)
+            if loss.rec is not None:  # a training step, not evaluate
+                taped[:] = [weakref.ref(n.out.values) for n in loss.rec.nodes]
+            return loss
 
-        monkeypatch.setattr(training, "backward", backward_watching_tape)
+        def backward_then_poison(loss):
+            backward(loss)
+            net.head.weight.grad[0, 0] = np.inf
+
+        monkeypatch.setattr(training, "cross_entropy", cross_entropy_watching_tape)
+        if abort is True:
+            monkeypatch.setattr(training, "backward", backward_then_poison)
+        elif abort == "loss":
+            net.head.bias.values[0] = np.inf
         cfg = TrainConfig(batch_size=4, epochs=1, lr0=0.05, seed=1)
         # with the cyclic GC off, only the engine's own freeing releases a tape
         gc.disable()
         try:
             if abort:
-                with pytest.raises(NumericsError):
+                with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
                     train(net, gen_synthetic(TINY_DATA, 8), [], cfg)
             else:
                 train(net, gen_synthetic(TINY_DATA, 8), gen_synthetic(TINY_DATA, 4), cfg)
