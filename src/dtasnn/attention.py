@@ -115,6 +115,10 @@ def smp(x: Tensor) -> Tensor:
     return tz.mean(x, axes=(3, 4))
 
 
+# (T, B, C) -> conv1d lanes: (B, C, T) slides along time, (B, T, C) along channels
+_LANES = {"t": (1, 2, 0), "c": (1, 0, 2)}
+
+
 def local_attention(x: Tensor, pooled: Tensor, kernel: Tensor, scale: Tensor,
                     target_dim: str) -> Tensor:
     """One identical-branch pass: 1-D conv along the target dim, sigmoid,
@@ -126,18 +130,12 @@ def local_attention(x: Tensor, pooled: Tensor, kernel: Tensor, scale: Tensor,
     _require_5d(x, "local_attention")
     if pooled.shape != x.shape[:3]:
         raise ShapeError(f"pooled map {pooled.shape} does not match input {x.shape[:3]}")
-    T, B, C = pooled.shape
-    if target_dim == "t":
-        lane = tz.transpose(pooled, (1, 2, 0))          # (B, C, T)
-        attn = scale * tz.sigmoid(conv1d(lane, kernel))
-        attn = tz.transpose(attn, (2, 0, 1))            # (T, B, C)
-    elif target_dim == "c":
-        lane = tz.transpose(pooled, (1, 0, 2))          # (B, T, C)
-        attn = scale * tz.sigmoid(conv1d(lane, kernel))
-        attn = tz.transpose(attn, (1, 0, 2))            # (T, B, C)
-    else:
+    if target_dim not in _LANES:
         raise ValueError(f"target_dim must be 't' or 'c', got {target_dim!r}")
-    return x + tz.reshape(attn, (T, B, C, 1, 1))
+    perm = _LANES[target_dim]
+    attn = scale * tz.sigmoid(conv1d(tz.transpose(pooled, perm), kernel))
+    attn = tz.transpose(attn, np.argsort(perm))         # back to (T, B, C)
+    return x + tz.reshape(attn, pooled.shape + (1, 1))
 
 
 def t_xa(x: Tensor, p: TxaParams) -> Tensor:

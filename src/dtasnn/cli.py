@@ -34,34 +34,38 @@ def _static_samples(images, labels, time_steps, cap):
             for i in range(len(images))]
 
 
+def _load_split(cfg: RunConfig, train: bool):
+    """(images, labels) of the training or test split of a dataset on disk."""
+    if not cfg.data_dir:
+        raise ConfigError(f"data_dir is required for dataset = {cfg.dataset}")
+    if cfg.dataset == "cifar10":
+        x, y = load_cifar10_binary(cfg.data_dir, train)
+    else:
+        prefix = os.path.join(cfg.data_dir, "train" if train else "t10k")
+        x, y = load_idx(f"{prefix}-images-idx3-ubyte", f"{prefix}-labels-idx1-ubyte")
+    if x.shape[1] != cfg.in_channels:
+        raise ConfigError(f"in_channels = {cfg.in_channels} but {cfg.dataset} "
+                          f"provides {x.shape[1]} channels")
+    return x, y
+
+
+def build_test_set(cfg: RunConfig):
+    """The test samples for cfg; the training split is never read."""
+    if cfg.dataset == "synthetic":
+        return gen_synthetic(cfg.synth_spec(1), cfg.test_samples)
+    vx, vy = _load_split(cfg, train=False)
+    return _static_samples(vx, vy, cfg.time_steps, cfg.test_samples)
+
+
 def build_datasets(cfg: RunConfig):
     """(train samples, test samples, per-epoch transform or None) for cfg."""
     if cfg.dataset == "synthetic":
-        train_set = gen_synthetic(cfg.synth_spec(0), cfg.train_samples)
-        test_set = gen_synthetic(cfg.synth_spec(1), cfg.test_samples)
-        return train_set, test_set, None
+        return gen_synthetic(cfg.synth_spec(0), cfg.train_samples), build_test_set(cfg), None
 
-    if cfg.dataset == "cifar10":
-        if not cfg.data_dir:
-            raise ConfigError("data_dir is required for dataset = cifar10")
-        tx, ty, vx, vy = load_cifar10_binary(cfg.data_dir)
-    elif cfg.dataset == "idx":
-        if not cfg.data_dir:
-            raise ConfigError("data_dir is required for dataset = idx")
-        tx, ty = load_idx(os.path.join(cfg.data_dir, "train-images-idx3-ubyte"),
-                          os.path.join(cfg.data_dir, "train-labels-idx1-ubyte"))
-        vx, vy = load_idx(os.path.join(cfg.data_dir, "t10k-images-idx3-ubyte"),
-                          os.path.join(cfg.data_dir, "t10k-labels-idx1-ubyte"))
-    else:
-        raise ConfigError(f"unknown dataset {cfg.dataset!r} "
-                          "(expected synthetic, cifar10, or idx)")
-
-    if tx.shape[1] != cfg.in_channels:
-        raise ConfigError(f"in_channels = {cfg.in_channels} but {cfg.dataset} "
-                          f"provides {tx.shape[1]} channels")
+    tx, ty = _load_split(cfg, train=True)
     if cfg.train_samples > 0:
         tx, ty = tx[:cfg.train_samples], ty[:cfg.train_samples]
-    test_set = _static_samples(vx, vy, cfg.time_steps, cfg.test_samples)
+    test_set = build_test_set(cfg)
     if not cfg.augment:
         return _static_samples(tx, ty, cfg.time_steps, 0), test_set, None
 
@@ -76,8 +80,6 @@ def build_datasets(cfg: RunConfig):
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    if cfg.log_every < 1:
-        raise ConfigError(f"log_every must be >= 1, got {cfg.log_every}")
     train_set, test_set, transform = build_datasets(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     net = build(cfg.network_spec(), cfg.seed)
@@ -105,8 +107,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
     if differing is not None:
         raise ConfigError(f"checkpoint spec differs from configuration in "
                           f"field {differing!r}")
-    _, test_set, _ = build_datasets(cfg)
-    rec = evaluate(net, test_set, cfg.batch_size)
+    rec = evaluate(net, build_test_set(cfg), cfg.batch_size)
     print(rec.to_json())
     return 0
 
@@ -136,8 +137,10 @@ def run_ablation(cfg: RunConfig) -> list[dict]:
     """Train every branch combination on the synthetic task, several seeds each."""
     from dataclasses import replace
 
-    if cfg.ablate_seeds < 1:
-        raise ConfigError(f"ablate_seeds must be >= 1, got {cfg.ablate_seeds}")
+    if cfg.epochs < 1 or cfg.test_samples < 1:
+        raise ConfigError(f"ablate scores each variant by its last epoch's validation "
+                          f"accuracy: it needs epochs >= 1 and test_samples >= 1, got "
+                          f"{cfg.epochs} and {cfg.test_samples}")
     rows = []
     for name, en_txa, en_tna in ABLATION_ROWS:
         accs = []
@@ -147,8 +150,7 @@ def run_ablation(cfg: RunConfig) -> list[dict]:
             train_set, test_set, _ = build_datasets(run_cfg)
             net = build(run_cfg.network_spec(), run_cfg.seed)
             tcfg = run_cfg.train_config()
-            train(net, train_set, test_set, tcfg)
-            accs.append(evaluate(net, test_set, run_cfg.batch_size).accuracy)
+            accs.append(train(net, train_set, test_set, tcfg)[-1].accuracy)
         rows.append({"name": name, "enable_txa": en_txa, "enable_tna": en_tna,
                      "accuracies": accs, "mean": float(np.mean(accs)),
                      "std": float(np.std(accs))})
@@ -188,9 +190,11 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 
 def cmd_synth_data(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     spec = cfg.synth_spec(0)
     samples = gen_synthetic(spec, cfg.train_samples)
+    if not samples:  # whatever dataset names, synth-data makes the synthetic task
+        raise ConfigError(f"synth-data needs train_samples >= 1, got {cfg.train_samples}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "synthetic.dtasnn")
     save_synthetic(path, spec, samples)
     print(f"wrote {len(samples)} samples "

@@ -1,9 +1,8 @@
 """Flat ``key = value`` run configuration with a closed schema.
 
-Every key is validated against the schema; unknown keys and malformed values
-are errors that name the offending key. Values given on the command line as
-``--key value`` override the file. Parsing and serialization round-trip
-exactly.
+Every key is validated against the schema; unknown keys and malformed or
+out-of-range values are errors that name the offending key. Values given on
+the command line as ``--key value`` override the file.
 """
 
 from __future__ import annotations
@@ -37,20 +36,6 @@ def _parse_stages(s: str) -> tuple:
             raise ValueError(f"stage {part!r} is not channels:blocks:stride")
         stages.append(tuple(int(b) for b in bits))
     return tuple(stages)
-
-
-def _format_stages(stages: tuple) -> str:
-    return ",".join(f"{c}:{n}:{s}" for c, n, s in stages)
-
-
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, tuple):
-        return _format_stages(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 @dataclass(frozen=True)
@@ -93,6 +78,22 @@ class RunConfig:
     clip: float = 0.0
     ablate_seeds: int = 3
     out_dir: str = "runs"
+
+    def __post_init__(self):
+        if self.dataset not in ("synthetic", "cifar10", "idx"):
+            raise ValueError(f"unknown dataset {self.dataset!r} "
+                             "(expected synthetic, cifar10, or idx)")
+        for name, low in (("train_samples", 0), ("test_samples", 0), ("augment_pad", 0),
+                          ("log_every", 1), ("ablate_seeds", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # on a dataset read from disk 0 keeps every sample; here it would make none
+        if self.dataset == "synthetic" and self.train_samples < 1:
+            raise ValueError(f"train_samples must be >= 1 for the synthetic task, "
+                             f"got {self.train_samples}")
+        if not 0.0 <= self.augment_flip <= 1.0:
+            raise ValueError(f"augment_flip must be in [0, 1], got {self.augment_flip}")
+        self.train_config()  # TrainConfig checks the optimizer's values
 
     def network_spec(self) -> NetworkSpec:
         return NetworkSpec(
@@ -156,12 +157,6 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}"
-             for f in fields(RunConfig)]
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:

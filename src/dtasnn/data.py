@@ -170,27 +170,23 @@ def normalize_cifar(pixels: np.ndarray) -> np.ndarray:
     return pixels
 
 
-def load_cifar10_binary(directory):
-    """Train and test splits from the canonical binary batches.
+def load_cifar10_binary(directory, train: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The training or the test split of the canonical binary batches.
 
-    Returns ``(train_images, train_labels, test_images, test_labels)`` with
-    images already per-channel normalized. The 600 MB of float pixels are
-    assembled into preallocated buffers and normalized in place.
+    Returns ``(images, labels)`` with images already per-channel normalized.
+    The training split's 600 MB of float pixels are assembled into a
+    preallocated buffer and normalized in place.
     """
-    train_x = np.empty((50000, 3, 32, 32), dtype=np.float32)
-    train_y = np.empty(50000, dtype=np.int64)
-    for i in range(1, 6):
-        path = os.path.join(directory, f"data_batch_{i}.bin")
+    names = [f"data_batch_{i}.bin" for i in range(1, 6)] if train else ["test_batch.bin"]
+    images = np.empty((10000 * len(names), 3, 32, 32), dtype=np.float32)
+    labels = np.empty(10000 * len(names), dtype=np.int64)
+    for i, name in enumerate(names):
+        path = os.path.join(directory, name)
         if not os.path.exists(path):
             raise FormatError(f"missing CIFAR-10 batch {path}")
-        x, y = _read_cifar_file(path)
-        train_x[(i - 1) * 10000:i * 10000] = x
-        train_y[(i - 1) * 10000:i * 10000] = y
-    test_path = os.path.join(directory, "test_batch.bin")
-    if not os.path.exists(test_path):
-        raise FormatError(f"missing CIFAR-10 batch {test_path}")
-    test_x, test_y = _read_cifar_file(test_path)
-    return normalize_cifar(train_x), train_y, normalize_cifar(test_x), test_y
+        rows = slice(i * 10000, (i + 1) * 10000)
+        images[rows], labels[rows] = _read_cifar_file(path)
+    return normalize_cifar(images), labels
 
 
 # ---------------------------------------------------------------------------

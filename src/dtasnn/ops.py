@@ -348,29 +348,22 @@ def batch_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.dtype)
         state.batches_tracked += 1
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (xv - mu[None, :, None, None]) * inv[None, :, None, None]
-        out = gv * xhat + beta.values[None, :, None, None]
-
-        def bwd(g):
-            gh = g * gv
-            gx = inv[None, :, None, None] * (
-                gh - gh.mean(axis=axes, keepdims=True)
-                - xhat * (gh * xhat).mean(axis=axes, keepdims=True))
-            return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
-
+    elif state.batches_tracked == 0:
+        raise MissingStatisticsError(
+            "batch_norm_2d eval mode before any statistics were recorded "
+            "(the network has not run a training batch)")
     else:
-        if state.batches_tracked == 0:
-            raise MissingStatisticsError(
-                "batch_norm_2d eval mode before any statistics were recorded "
-                "(the network has not run a training batch)")
-        inv = 1.0 / np.sqrt(state.running_var + BN_EPS)
-        xhat = (xv - state.running_mean[None, :, None, None]) * inv[None, :, None, None]
-        out = gv * xhat + beta.values[None, :, None, None]
+        mu, var = state.running_mean, state.running_var
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (xv - mu[None, :, None, None]) * inv[None, :, None, None]
+    out = gv * xhat + beta.values[None, :, None, None]
 
-        def bwd(g):
-            return (g * gv * inv[None, :, None, None],
-                    (g * xhat).sum(axis=axes),
-                    g.sum(axis=axes))
+    def bwd(g):
+        gh = g * gv
+        if training:
+            # the batch statistics depend on x: take out their two means
+            gh = (gh - gh.mean(axis=axes, keepdims=True)
+                  - xhat * (gh * xhat).mean(axis=axes, keepdims=True))
+        return inv[None, :, None, None] * gh, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return apply_primitive((x, gamma, beta), out.astype(xv.dtype, copy=False), bwd)

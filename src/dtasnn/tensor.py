@@ -74,17 +74,11 @@ class RecordError(RuntimeError):
 
 
 def broadcast_shape(a: tuple, b: tuple) -> tuple:
-    """Trailing-aligned broadcast shape of *a* and *b*.
-
-    Two extents are compatible iff equal or one of them is 1.
-    """
-    out = []
-    for x, y in zip(reversed((1,) * max(0, len(b) - len(a)) + a),
-                    reversed((1,) * max(0, len(a) - len(b)) + b)):
-        if x != y and x != 1 and y != 1:
-            raise ShapeError(f"shapes {a} and {b} are not broadcast-compatible")
-        out.append(max(x, y))
-    return tuple(reversed(out))
+    """numpy's broadcast shape of *a* and *b*, or :class:`ShapeError`."""
+    try:
+        return np.broadcast_shapes(a, b)
+    except ValueError:
+        raise ShapeError(f"shapes {a} and {b} are not broadcast-compatible") from None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -43,6 +43,12 @@ class TrainConfig:
         # lr0 == lr_min (including both zero) is the degenerate constant-rate run
         if not self.lr0 >= self.lr_min >= 0.0:
             raise ValueError(f"need lr0 >= lr_min >= 0, got {self.lr0} and {self.lr_min}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not self.clip >= 0.0:
+            raise ValueError(f"clip must be >= 0, got {self.clip}")
 
 
 @dataclass

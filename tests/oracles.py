@@ -103,6 +103,68 @@ def cross_entropy_ref(logits, labels):
     return loss / n, grad / n
 
 
+def batch_norm_ref(x, gamma, beta, running_mean, running_var, training,
+                   momentum=0.9, eps=1e-5):
+    """2-D batch norm of (N, C, H, W) in float64, one channel at a time.
+
+    Training mode normalizes with the channel's batch mean and biased
+    variance and blends them into the running statistics (``momentum`` keeps
+    the old value); eval mode normalizes with the running statistics as
+    given. Returns ``(out, running_mean, running_var)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    new_mean = np.array(running_mean, dtype=np.float64)
+    new_var = np.array(running_var, dtype=np.float64)
+    for c in range(x.shape[1]):
+        xc = x[:, c]
+        if training:
+            mu = xc.sum() / xc.size
+            var = ((xc - mu) ** 2).sum() / xc.size
+            new_mean[c] = momentum * running_mean[c] + (1.0 - momentum) * mu
+            new_var[c] = momentum * running_var[c] + (1.0 - momentum) * var
+        else:
+            mu, var = running_mean[c], running_var[c]
+        out[:, c] = gamma[c] * (xc - mu) / math.sqrt(var + eps) + beta[c]
+    return out, new_mean, new_var
+
+
+def batch_norm_grads_ref(x, gamma, g, running_mean, running_var, training, eps=1e-5):
+    """Gradients of ``sum(g * batch_norm)`` w.r.t. x, gamma and beta, in
+    float64, one channel at a time.
+
+    Training mode is the textbook backward of Ioffe & Szegedy (2015): the
+    partials over x-hat, then the variance and the mean, then x, gamma and
+    beta. In eval mode the statistics are constants, so x gets x-hat's
+    partial scaled by ``1 / sqrt(var + eps)`` alone.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    gx = np.zeros_like(x)
+    ggamma = np.zeros(x.shape[1])
+    gbeta = np.zeros(x.shape[1])
+    for c in range(x.shape[1]):
+        xc, gc = x[:, c], g[:, c]
+        m = xc.size
+        if training:
+            mu = xc.sum() / m
+            var = ((xc - mu) ** 2).sum() / m
+        else:
+            mu, var = running_mean[c], running_var[c]
+        std = math.sqrt(var + eps)
+        xhat = (xc - mu) / std
+        dxhat = gc * gamma[c]
+        if training:
+            dvar = (dxhat * (xc - mu)).sum() * -0.5 * (var + eps) ** -1.5
+            dmu = (dxhat * -1.0 / std).sum() + dvar * (-2.0 * (xc - mu)).sum() / m
+            gx[:, c] = dxhat / std + dvar * 2.0 * (xc - mu) / m + dmu / m
+        else:
+            gx[:, c] = dxhat / std
+        ggamma[c] = (gc * xhat).sum()
+        gbeta[c] = gc.sum()
+    return gx, ggamma, gbeta
+
+
 def lif_forward_ref(currents, tau, v_th):
     """Literal membrane recurrence; returns (potentials, spikes) per step."""
     us, ss = [], []

@@ -55,6 +55,29 @@ class TestTrainCommand:
         for name in ("checkpoint.dtasnn", "metrics.jsonl"):
             assert not os.path.exists(os.path.join(out, name))
 
+    @pytest.mark.parametrize("command,extra,key", [
+        ("train", ["--augment", "true", "--augment_flip", "7"], "augment_flip"),
+        ("train", ["--augment", "true", "--augment_flip", "-3"], "augment_flip"),
+        ("train", ["--augment_pad", "-1"], "augment_pad"),
+        ("train", ["--test_samples", "-5"], "test_samples"),
+        ("train", ["--train_samples", "0"], "train_samples"),
+        ("train", ["--train_samples", "-3"], "train_samples"),
+        ("train", ["--momentum", "-2"], "momentum"),
+        ("train", ["--momentum", "1"], "momentum"),
+        ("train", ["--weight_decay", "-1"], "weight_decay"),
+        ("train", ["--clip", "-1"], "clip"),
+        ("synth-data", ["--train_samples", "0"], "train_samples"),
+        ("synth-data", ["--dataset", "cifar10", "--train_samples", "0"], "train_samples"),
+    ])
+    def test_out_of_range_value_exit_2_before_any_output(self, tmp_path, capsys,
+                                                         command, extra, key):
+        out = str(tmp_path / "run")
+        assert main([command, "--out", out] + FAST + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert key in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_zero_log_every_exit_2(self, tmp_path, capsys):
         code, _ = run_fast_train(tmp_path, ["--log_every", "0"])
         assert code == 2
@@ -143,6 +166,35 @@ class TestEvalCommand:
         assert code == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["acc"] == best
+
+    def test_eval_reads_only_the_test_split(self, tmp_path, capsys):
+        data = tmp_path / "idx"
+        data.mkdir()
+        rng = np.random.default_rng(0)
+        for prefix, n in (("train", 24), ("t10k", 12)):
+            labels = rng.integers(0, 2, n)
+            with open(data / f"{prefix}-images-idx3-ubyte", "wb") as fh:
+                fh.write(struct.pack(">IIII", 0x00000803, n, 6, 6))
+                fh.write(rng.integers(0, 256, (n, 6, 6), dtype=np.uint8).tobytes())
+            with open(data / f"{prefix}-labels-idx1-ubyte", "wb") as fh:
+                fh.write(struct.pack(">II", 0x00000801, n))
+                fh.write(labels.astype(np.uint8).tobytes())
+        args = ["--dataset", "idx", "--data_dir", str(data), "--in_channels", "1",
+                "--num_classes", "2", "--time_steps", "2", "--stem_channels", "4",
+                "--stages", "4:1:1", "--batch_size", "8", "--seed", "1"]
+        out = str(tmp_path / "run")
+        assert main(["train", "--out", out, "--epochs", "1"] + args) == 0
+        ckpt = os.path.join(out, "checkpoint.dtasnn")
+        capsys.readouterr()
+
+        def accuracy():
+            assert main(["eval", "--checkpoint", ckpt] + args) == 0
+            return json.loads(capsys.readouterr().out.strip())["acc"]
+
+        both = accuracy()
+        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+            os.remove(data / name)
+        assert accuracy() == both
 
     def test_corrupted_magic_exit_2(self, tmp_path, capsys):
         _, out = run_fast_train(tmp_path, ["--epochs", "0"])
@@ -315,6 +367,17 @@ class TestAblateCommand:
         assert main(["ablate", "--out", out, "--ablate_seeds", "0"] + FAST) == 2
         assert "ablate_seeds" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "ablation.json"))
+
+
+    @pytest.mark.parametrize("key", ["epochs", "test_samples"])
+    def test_nothing_to_score_exit_2(self, tmp_path, capsys, key):
+        out = str(tmp_path / "ablate")
+        assert main(["ablate", "--out", out, "--ablate_seeds", "1"] + FAST
+                    + [f"--{key}", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert key in err and "Traceback" not in err
+        assert not os.path.exists(out)
 
 
 def test_checkpoint_loadable_via_library(tmp_path):

@@ -1,8 +1,8 @@
-"""Closed-schema config parsing: validation, overrides, round-trip identity."""
+"""Closed-schema config parsing: validation, overrides, derived specs."""
 
 import pytest
 
-from dtasnn.config import ConfigError, RunConfig, parse_config, serialize_config
+from dtasnn.config import ConfigError, RunConfig, parse_config
 
 
 class TestParsing:
@@ -71,20 +71,6 @@ class TestOverrides:
     def test_override_validated(self):
         with pytest.raises(ConfigError, match="unknown"):
             parse_config("", overrides={"nope": "1"})
-
-
-class TestRoundTrip:
-    def test_serialize_parse_identity_on_defaults(self):
-        cfg = RunConfig()
-        assert parse_config(serialize_config(cfg)) == cfg
-
-    def test_serialize_parse_identity_on_modified(self):
-        cfg = parse_config("", overrides={
-            "dataset": "cifar10", "data_dir": "/data", "stages": "8:1:1,16:2:2",
-            "lr0": "0.007", "enable_tna": "false", "weight_decay": "1e-05",
-            "seed": "42", "augment": "true",
-        })
-        assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestDerivedSpecs:

@@ -57,11 +57,11 @@ class TestCifarRecords:
             (d / f"data_batch_{i}.bin").write_bytes(b"\x00" * CIFAR10_FILE_BYTES)
         (d / "test_batch.bin").write_bytes(b"\x00" * (CIFAR10_FILE_BYTES - 1))
         with pytest.raises(FormatError, match="30730000"):
-            load_cifar10_binary(d)
+            load_cifar10_binary(d, train=False)
 
     def test_missing_batch_named(self, tmp_path):
         with pytest.raises(FormatError, match="data_batch_1"):
-            load_cifar10_binary(tmp_path)
+            load_cifar10_binary(tmp_path, train=True)
 
     def test_full_loader_values_and_normalization(self, tmp_path):
         d = tmp_path / "cifar"
@@ -71,7 +71,8 @@ class TestCifarRecords:
         for i in range(1, 6):
             (d / f"data_batch_{i}.bin").write_bytes(record + filler)
         (d / "test_batch.bin").write_bytes(record + filler)
-        tx, ty, vx, vy = load_cifar10_binary(d)
+        tx, ty = load_cifar10_binary(d, train=True)
+        vx, vy = load_cifar10_binary(d, train=False)
         assert tx.shape == (50000, 3, 32, 32)
         assert ty[0] == 3 and vy[0] == 3
         want = (1.0 - CIFAR10_MEAN) / CIFAR10_STD

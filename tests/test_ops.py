@@ -9,7 +9,8 @@ from dtasnn.ops import (BatchNormState, MissingStatisticsError, batch_norm_2d, c
 from dtasnn.tensor import (ComputationRecord, GeometryError, ShapeError, Tensor,
                            backward, zero_grads)
 
-from oracles import conv1d_loop, conv2d_loop, conv2d_loop_grads, fd_grad
+from oracles import (batch_norm_grads_ref, batch_norm_ref, conv1d_loop, conv2d_loop,
+                     conv2d_loop_grads, fd_grad)
 
 
 def leaf(values):
@@ -470,3 +471,51 @@ class TestBatchNorm:
         want = (x - st.running_mean[None, :, None, None]) / np.sqrt(
             st.running_var[None, :, None, None] + 1e-5)
         np.testing.assert_allclose(out.values, want, rtol=1e-5)
+
+
+class TestBatchNormOracle:
+    """Both modes against the per-channel float64 loop of ``batch_norm_ref``
+    and the textbook backward of ``batch_norm_grads_ref``."""
+
+    @staticmethod
+    def case(rng):
+        x = rng.standard_normal((5, 3, 4, 3)) * 2.0 + 0.5
+        gamma = rng.standard_normal(3) * 0.3 + 1.0
+        beta = rng.standard_normal(3) * 0.2
+        st = BatchNormState(3, dtype=np.float64)
+        # stored statistics unlike the batch's, so the modes differ
+        st.running_mean = rng.standard_normal(3)
+        st.running_var = rng.uniform(0.5, 2.0, 3)
+        st.batches_tracked = 1
+        return x, gamma, beta, st
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_forward(self, rng, training):
+        x, gamma, beta, st = self.case(rng)
+        want, _, _ = batch_norm_ref(x, gamma, beta, st.running_mean, st.running_var,
+                                    training)
+        out = batch_norm_2d(Tensor(x, dtype=np.float64), leaf(gamma), leaf(beta), st,
+                            training)
+        np.testing.assert_allclose(out.values, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_grads(self, rng, training):
+        x, gamma, beta, st = self.case(rng)
+        g = rng.standard_normal(x.shape)
+        want = batch_norm_grads_ref(x, gamma, g, st.running_mean, st.running_var,
+                                    training)
+        params = [leaf(x), leaf(gamma), leaf(beta)]
+        got = engine_grads(lambda: tz.tsum(batch_norm_2d(*params, st, training)
+                                           * Tensor(g, dtype=np.float64)), params)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+    def test_running_statistics_update(self, rng):
+        x, gamma, beta, st = self.case(rng)
+        _, mean, var = batch_norm_ref(x, gamma, beta, st.running_mean, st.running_var,
+                                      training=True)
+        batch_norm_2d(Tensor(x, dtype=np.float64), leaf(gamma), leaf(beta), st,
+                      training=True)
+        np.testing.assert_allclose(st.running_mean, mean, rtol=1e-12)
+        np.testing.assert_allclose(st.running_var, var, rtol=1e-12)
+        assert st.batches_tracked == 2
