@@ -235,11 +235,19 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
     bb = param(2, scale=0.1)
     probeb = Tensor(rng.standard_normal((4, 2, 3, 3)), dtype=np.float64)
 
-    def bn_loss():
+    def bn_loss(training):
         st = ops.BatchNormState(2, dtype=np.float64)
-        return tz.tsum(ops.batch_norm_2d(xb, gb, bb, st, training=True) * probeb)
+        if not training:  # fixed stored statistics, unlike the batch's
+            st.running_mean[:] = (0.3, -0.2)
+            st.running_var[:] = (0.8, 1.5)
+            st.batches_tracked = 1
+        return tz.tsum(ops.batch_norm_2d(xb, gb, bb, st, training) * probeb)
 
-    run("batch_norm_2d", 1e-3, bn_loss, [xb, gb, bb])
+    # both modes under one entry: the worse of the two errors
+    bn_err = max(gradcheck(lambda: bn_loss(mode), [xb, gb, bb],
+                           flip_sign=(break_op == "batch_norm_2d"))
+                 for mode in (True, False))
+    results.append(CheckResult("batch_norm_2d", bn_err, 1e-3))
 
     logits = param(3, 4)
     labels = [0, 2, 1]

@@ -22,6 +22,14 @@ runs backpropagation through time from the last step to the first::
 
 ``reset_detached`` drops the ``u(t) * sg(t)`` term, the gradient through the
 reset factor.
+
+The backward visits each step once and builds that step's surrogate, its
+carried share ``tau * (u(t) < v_th)`` and ``u(t) * tau`` in step-sized scratch
+buffers, so no array over all T steps is made beside the gradient itself.
+:func:`surrogate_values` and the backward share one definition of the
+surrogate, and the backward keeps the float operations and their order of the
+whole-array form (``lif_bptt_ref`` in the test oracles), so its gradients are
+bit-identical to it in float32 and float64.
 """
 
 from __future__ import annotations
@@ -68,12 +76,25 @@ def surrogate_values(u: np.ndarray, p: LifParams) -> np.ndarray:
     ``alpha * (1 - alpha * |u - v_th|)`` inside ``|u - v_th| < 1/alpha``,
     zero outside; peak value alpha, support width 2/alpha, unit area.
     """
-    delta = np.abs(u - p.v_th)
-    inside = delta < 1.0 / p.alpha
+    out = np.empty_like(u)
+    _surrogate_into(u, p, out, np.empty(u.shape, dtype=bool))
+    return out
+
+
+def _surrogate_into(u: np.ndarray, p: LifParams, out: np.ndarray,
+                    inside: np.ndarray) -> None:
+    """Write :func:`surrogate_values` of *u* into *out*, using *inside* (a
+    bool array shaped like *u*) as scratch."""
+    np.subtract(u, p.v_th, out=out)
+    np.abs(out, out=out)
+    np.less(out, 1.0 / p.alpha, out=inside)
+    np.multiply(p.alpha, out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.multiply(p.alpha, out, out=out)
     # masking by a product is several times faster than np.where on a
     # scattered mask; adding 0.0 turns the -0.0 it leaves outside into 0.0
-    out = p.alpha * (1.0 - p.alpha * delta) * inside + 0.0
-    return out.astype(u.dtype, copy=False)
+    np.multiply(out, inside, out=out)
+    np.add(out, 0.0, out=out)
 
 
 def lif_forward(c: np.ndarray, p: LifParams) -> tuple[np.ndarray, np.ndarray]:
@@ -107,15 +128,26 @@ def lif_unroll(x: Tensor, p: LifParams, steps: int | None = None) -> Tensor:
         # (1 - s, u * tau, times the reset, plus c, fire), in that graph's
         # reverse order, so the gradients are the bits an unrolled tape gives
         g = g.reshape(steps, -1)
-        sg = surrogate_values(u, p)
-        keep = (u[:-1] < p.v_th) * tau  # tau * (1 - s), the carried share
-        tau_u = None if p.reset_detached else u[:-1] * tau
         du = np.empty_like(g)
-        np.multiply(g[-1], sg[-1], out=du[-1])
+        sg = np.empty_like(u[0])
+        mask = np.empty(sg.shape, dtype=bool)
+        carried = np.empty(sg.shape, dtype=np.result_type(g, u))
+        _surrogate_into(u[-1], p, sg, mask)
+        np.multiply(g[-1], sg, out=du[-1])
         for t in range(steps - 2, -1, -1):
-            g_spike = g[t] if tau_u is None else g[t] - du[t + 1] * tau_u[t]
-            np.multiply(g_spike, sg[t], out=du[t])
-            du[t] += du[t + 1] * keep[t]
+            _surrogate_into(u[t], p, sg, mask)
+            if p.reset_detached:
+                g_spike = g[t]
+            else:  # g(t) - du(t+1) * (u(t) * tau)
+                g_spike = np.multiply(u[t], tau, out=carried)
+                np.multiply(du[t + 1], carried, out=carried)
+                np.subtract(g[t], carried, out=carried)
+            np.multiply(g_spike, sg, out=du[t])
+            # du(t+1) * (tau * (1 - s(t))), the carried share
+            np.less(u[t], p.v_th, out=mask)
+            np.multiply(mask, tau, out=carried)
+            np.multiply(du[t + 1], carried, out=carried)
+            du[t] += carried
         return (du.reshape(x.shape),)
 
     return apply_primitive((x,), spikes.reshape(x.shape), bwd)

@@ -331,19 +331,26 @@ def batch_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
     Training mode normalizes with batch statistics (biased variance) and
     updates *state* in place; eval mode applies the stored statistics.
+
+    The forward forms the deviation ``d = x - mean`` once, takes the batch
+    variance as each channel's dot product of ``d`` with itself, and applies
+    ``gamma / sqrt(var + eps)`` as one scale. The node keeps ``d`` in place of
+    x-hat. Its backward is the closed form of Ioffe & Szegedy's (2015) chain
+    rule, from two per-channel reductions, ``sum(g)`` and ``sum(g * d)``.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm_2d expects 4-D input, got {x.shape}")
-    C = x.shape[1]
+    N, C, H, W = x.shape
     if C != state.num_features:
         raise ShapeError(f"batch_norm_2d input has {C} channels, state tracks {state.num_features}")
-    axes = (0, 2, 3)
-    gv = gamma.values[None, :, None, None]
+    n = N * H * W
     xv = x.values
 
     if training:
-        mu = xv.mean(axis=axes)
-        var = xv.var(axis=axes)
+        mu = xv.mean(axis=(0, 2, 3))
+        d = xv - mu[:, None, None]
+        dc = d.reshape(N, C, H * W)
+        var = np.einsum("ncs,ncs->c", dc, dc) / n
         m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.dtype)
@@ -354,16 +361,23 @@ def batch_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
             "(the network has not run a training batch)")
     else:
         mu, var = state.running_mean, state.running_var
+        d = xv - mu[:, None, None]
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (xv - mu[None, :, None, None]) * inv[None, :, None, None]
-    out = gv * xhat + beta.values[None, :, None, None]
+    scale = gamma.values * inv
+    out = d * scale[:, None, None]
+    out += beta.values[:, None, None]
 
     def bwd(g):
-        gh = g * gv
+        gc = g.reshape(N, C, H * W)
+        sum_g = gc.sum(axis=(0, 2))
+        sum_gd = np.einsum("ncs,ncs->c", gc, d.reshape(N, C, H * W))
+        gx = g * scale[:, None, None]
         if training:
-            # the batch statistics depend on x: take out their two means
-            gh = (gh - gh.mean(axis=axes, keepdims=True)
-                  - xhat * (gh * xhat).mean(axis=axes, keepdims=True))
-        return inv[None, :, None, None] * gh, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+            # the batch statistics depend on x: take out the gradient through
+            # the variance, gamma * inv^3 * sum(g * d) / n per unit of d, and
+            # through the mean, gamma * inv * sum(g) / n
+            gx -= d * (scale * inv * inv * sum_gd / n)[:, None, None]
+            gx -= (scale * sum_g / n)[:, None, None]
+        return gx, inv * sum_gd, sum_g
 
     return apply_primitive((x, gamma, beta), out.astype(xv.dtype, copy=False), bwd)

@@ -178,6 +178,30 @@ def lif_forward_ref(currents, tau, v_th):
     return us, ss
 
 
+def lif_bptt_ref(u, g, p):
+    """Gradient w.r.t. the currents of ``sum(g * spikes)``, from the ``(T, ...)``
+    potentials *u* and upstream gradient *g*.
+
+    The whole-array form of the fused LIF node's backward: the surrogate,
+    the carried share ``tau * (u < v_th)`` and ``u * tau`` are built for all
+    T steps first, then one loop runs from the last step to the first. The
+    float ops and their order are the engine's, which builds the same terms
+    one step at a time, so its gradients must match these bits exactly.
+    """
+    tau = u.dtype.type(p.tau)
+    delta = np.abs(u - p.v_th)
+    sg = (p.alpha * (1.0 - p.alpha * delta) * (delta < 1.0 / p.alpha) + 0.0).astype(u.dtype)
+    keep = (u[:-1] < p.v_th) * tau
+    tau_u = None if p.reset_detached else u[:-1] * tau
+    du = np.empty_like(g)
+    np.multiply(g[-1], sg[-1], out=du[-1])
+    for t in range(len(u) - 2, -1, -1):
+        g_spike = g[t] if tau_u is None else g[t] - du[t + 1] * tau_u[t]
+        np.multiply(g_spike, sg[t], out=du[t])
+        du[t] += du[t + 1] * keep[t]
+    return du
+
+
 def smp_loop(x):
     """Plain-loop spatial mean of (T, B, C, H, W)."""
     T, B, C, H, W = x.shape

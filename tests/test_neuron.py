@@ -12,7 +12,7 @@ from dtasnn.network import _spike_layer
 from dtasnn.neuron import LifParams, lif_forward, lif_unroll, surrogate_values
 from dtasnn.tensor import ComputationRecord, ShapeError, Tensor, backward, zero_grads
 
-from oracles import lif_forward_ref
+from oracles import lif_bptt_ref, lif_forward_ref
 
 
 @pytest.fixture
@@ -226,6 +226,26 @@ class TestFusedPrimitive:
             out = _spike_layer(x, p, steps)
         assert len(rec.nodes) == 1
         assert rec.nodes[0].out is out and rec.nodes[0].inputs == (x,)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("detached", [False, True])
+@pytest.mark.parametrize("steps", [1, 4, 6])
+@pytest.mark.parametrize("tau,v_th,alpha", [(0.5, 1.0, 1.0), (0.3, 0.8, 0.7)])
+def test_backward_bits_equal_whole_array_reference(rng, dtype, detached, steps,
+                                                   tau, v_th, alpha):
+    # the step-at-a-time backward keeps the float ops of the whole-array one;
+    # alpha != 1 makes every product in the surrogate inexact, so a changed
+    # operand order shows in the bits
+    p = LifParams(tau=tau, v_th=v_th, alpha=alpha, reset_detached=detached)
+    cvals = (rng.standard_normal((steps, 3, 2, 4, 4)) * 0.6 + 0.7).astype(dtype)
+    upstream = rng.standard_normal(cvals.shape).astype(dtype)
+    got = input_grad(Tensor(cvals, requires_grad=True), p, upstream)
+    us, _ = lif_forward_ref(list(cvals), tau, v_th)
+    want = lif_bptt_ref(np.stack(us), upstream, p)
+    assert got.dtype == want.dtype == dtype
+    assert np.abs(want).max() > 0.0
+    np.testing.assert_array_equal(got, want)
 
 
 def test_gradcheck_entry_runs_fused_primitive(monkeypatch):

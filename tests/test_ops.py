@@ -519,3 +519,65 @@ class TestBatchNormOracle:
         np.testing.assert_allclose(st.running_mean, mean, rtol=1e-12)
         np.testing.assert_allclose(st.running_var, var, rtol=1e-12)
         assert st.batches_tracked == 2
+
+
+def test_gradcheck_entry_checks_both_modes(monkeypatch):
+    from dtasnn import gradcheck, ops
+    modes = []
+
+    def spy(x, gamma, beta, state, training):
+        modes.append(training)
+        return batch_norm_2d(x, gamma, beta, state, training)
+
+    monkeypatch.setattr(ops, "batch_norm_2d", spy)
+    results = {r.name: r for r in gradcheck.run_suite()}
+    assert set(modes) == {True, False}
+    assert results["batch_norm_2d"].passed
+
+
+class TestBatchNormFloat32:
+    """float32 at backbone shapes and offsets against the float64 oracles,
+    every error relative to the largest magnitude of the oracle's value. The
+    2e-5 bound leaves room for float32 sums over 65 536 values per channel
+    but not for a variance taken as E[x^2] - mean^2, which cancels at a mean
+    of 20."""
+
+    TOL = 2e-5
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape,offset", [((64, 16, 32, 32), 3.0),
+                                              ((64, 64, 16, 16), 20.0)])
+    def test_matches_float64_oracle(self, rng, shape, offset, training):
+        C = shape[1]
+        x = (rng.standard_normal(shape) + offset).astype(np.float32)
+        gamma = (rng.standard_normal(C) * 0.3 + 1.0).astype(np.float32)
+        beta = (rng.standard_normal(C) * 0.2).astype(np.float32)
+        g = rng.standard_normal(shape).astype(np.float32)
+        st = BatchNormState(C)
+        st.running_mean[:] = offset + rng.standard_normal(C) * 0.1
+        st.running_var[:] = rng.uniform(0.5, 2.0, C)
+        st.batches_tracked = 1
+        mean0, var0 = st.running_mean.copy(), st.running_var.copy()
+
+        want, want_mean, want_var = batch_norm_ref(x, gamma, beta, mean0, var0, training)
+        want_grads = batch_norm_grads_ref(x, gamma, g, mean0, var0, training)
+        params = [Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                  Tensor(beta, requires_grad=True)]
+        outs = []
+
+        def loss():
+            outs.append(batch_norm_2d(*params, st, training))
+            return tz.tsum(outs[0] * Tensor(g))
+
+        got = engine_grads(loss, params)
+
+        def rel(a, b):
+            return np.abs(a.astype(np.float64) - b).max() / np.abs(b).max()
+
+        assert outs[0].values.dtype == np.float32
+        assert rel(outs[0].values, want) <= self.TOL
+        for a, b in zip(got, want_grads):
+            assert a.dtype == np.float32
+            assert rel(a, b) <= self.TOL
+        assert rel(st.running_mean, want_mean) <= self.TOL
+        assert rel(st.running_var, want_var) <= self.TOL
