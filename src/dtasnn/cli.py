@@ -12,11 +12,6 @@ import json
 import os
 import sys
 
-# the kernels are tuned for one core; BLAS busy-waiting on the many small
-# matmuls costs more than it buys (must be set before numpy initializes)
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config

@@ -94,6 +94,7 @@ class RunConfig:
         if not 0.0 <= self.augment_flip <= 1.0:
             raise ValueError(f"augment_flip must be in [0, 1], got {self.augment_flip}")
         self.train_config()  # TrainConfig checks the optimizer's values
+        self.network_spec()  # and NetworkSpec the network's
 
     def network_spec(self) -> NetworkSpec:
         return NetworkSpec(

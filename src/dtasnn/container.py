@@ -3,9 +3,9 @@
 Layout: the magic ``DTASNN02``, a little-endian u32 length and a sorted-key
 JSON header, then float32 runs, each a little-endian u32 element count and
 that many little-endian float32 values, then the little-endian u32 CRC32 of
-every preceding byte. ``DTASNN01`` files have the same layout without the
-trailer and still load. What the header holds and which runs follow it is
-the caller's business; this module only writes and checks the bytes.
+every preceding byte; any other magic is refused. The header is a spec
+dataclass as ``asdict`` writes it, which ``decode`` rebuilds; what else the
+header holds and which runs follow it is the caller's business.
 """
 
 from __future__ import annotations
@@ -13,22 +13,23 @@ from __future__ import annotations
 import json
 import os
 import struct
+import typing
 import zlib
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 MAGIC = b"DTASNN02"
-MAGIC_V1 = b"DTASNN01"
 
 
-def require_int(name: str, value) -> None:
-    """Raise ValueError unless *value* is an integer; a bool or a float is not.
+def require_int(name: str, value, error: type[Exception] = ValueError) -> None:
+    """Raise *error* unless *value* is an integer; a bool or a float is not.
 
     The specs stored in headers check their counts with this, so a JSON
     ``2.0`` or ``2.7`` is refused instead of truncated or used as a shape.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 def write(path, header: dict, arrays) -> None:
@@ -86,17 +87,16 @@ def read(path, error: type[Exception]) -> tuple[dict, list[np.ndarray]]:
             blob = fh.read()
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror}") from exc
-    if blob[:8] == MAGIC:
-        if len(blob) < 12:
-            raise error(f"{path}: truncated: {len(blob)} bytes, no CRC trailer")
-        (stored,) = struct.unpack_from("<I", blob, len(blob) - 4)
-        blob = blob[:-4]
-        crc = zlib.crc32(blob)
-        if crc != stored:
-            raise error(f"{path}: CRC32 mismatch: stored {stored:#010x}, "
-                        f"contents {crc:#010x}")
-    elif blob[:8] != MAGIC_V1:
+    if blob[:8] != MAGIC:
         raise error(f"{path}: bad container magic {blob[:8]!r}")
+    if len(blob) < 12:
+        raise error(f"{path}: truncated: {len(blob)} bytes, no CRC trailer")
+    (stored,) = struct.unpack_from("<I", blob, len(blob) - 4)
+    blob = blob[:-4]
+    crc = zlib.crc32(blob)
+    if crc != stored:
+        raise error(f"{path}: CRC32 mismatch: stored {stored:#010x}, "
+                    f"contents {crc:#010x}")
     off = 8
 
     def take(nbytes, what) -> int:
@@ -121,3 +121,34 @@ def read(path, error: type[Exception]) -> tuple[dict, list[np.ndarray]]:
         (n,) = struct.unpack_from("<I", blob, take(4, "run length"))
         runs.append(np.frombuffer(blob, dtype="<f4", count=n, offset=take(4 * n, "run")))
     return header, runs
+
+
+def _tuples(value):
+    """*value* with every JSON array in it, at any depth, made a tuple."""
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    return value
+
+
+def decode(cls, header: dict, error: type[Exception], path: str = ""):
+    """The spec dataclass *cls* rebuilt from *header*, the JSON object that
+    ``asdict`` wrote of one. Every field is required, a dataclass field is
+    decoded from its own object (*path* is then its dotted prefix), and JSON
+    arrays become tuples. A missing field, or a value the spec's own
+    ``__post_init__`` refuses, raises *error* naming the field's dotted path."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        name = path + f.name
+        if f.name not in header:
+            raise error(f"header is missing field {name!r}")
+        value = header[f.name]
+        if is_dataclass(hints[f.name]):
+            if not isinstance(value, dict):
+                raise error(f"header field {name!r} is not a JSON object")
+            value = decode(hints[f.name], value, error, name + ".")
+        values[f.name] = _tuples(value)
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise error(f"invalid header: {path}{exc}") from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -240,16 +240,9 @@ def save_synthetic(path, spec: SynthSpec, samples: list[Sample]) -> None:
 
 def load_synthetic(path) -> tuple[SynthSpec, list[Sample]]:
     header, runs = container.read(path, FormatError)
-    try:
-        values = {f.name: header[f.name] for f in fields(SynthSpec)}
-        values["temporal_signature"] = tuple(tuple(s) for s in values["temporal_signature"])
-        spec = SynthSpec(**values)
-        count = header["count"]
-        container.require_int("count", count)
-    except KeyError as exc:
-        raise FormatError(f"{path}: header is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: invalid header: {exc}") from exc
+    spec = container.decode(SynthSpec, header, FormatError)
+    count = header.get("count")
+    container.require_int("count", count, FormatError)
     shape = (count, spec.time_steps, spec.channels, spec.height, spec.width)
     got, sizes = [r.size for r in runs], [math.prod(shape), count]
     if got != sizes:

@@ -19,7 +19,7 @@ FD_STEP = 1e-3
 
 # the entries of run_suite, in the order it reports them; each is also a valid
 # ``break_op``
-CHECK_NAMES = ("add", "mul", "sigmoid", "gelu", "relu", "mean", "reshape",
+CHECK_NAMES = ("add", "mul", "sigmoid", "gelu", "relu", "mean", "tsum", "reshape",
                "transpose", "conv2d", "conv2d_depthwise", "conv1d", "linear",
                "batch_norm_2d", "cross_entropy", "lif_unroll", "dta_block",
                "conv2d_pointwise")
@@ -193,6 +193,7 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
     run("relu", 1e-3, lambda: tz.tsum(tz.relu(rl) * w_probe), [rl])
     p_mean = probe(3)
     run("mean", 1e-3, lambda: tz.tsum(tz.mean(s, axes=(1,)) * p_mean), [s])
+    run("tsum", 1e-3, lambda: tz.tsum(tz.tsum(s, axes=(1,)) * p_mean), [s])
     p_flat = probe(4, 3)
     run("reshape", 1e-3, lambda: tz.tsum(tz.reshape(s, (4, 3)) * p_flat), [s])
     run("transpose", 1e-3, lambda: tz.tsum(tz.transpose(s, (1, 0)) * p_flat), [s])

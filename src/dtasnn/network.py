@@ -22,7 +22,7 @@ checkpoint's run order (parameters, then batch-norm buffers, in walk order).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -58,47 +58,31 @@ class NetworkSpec:
     def __post_init__(self):
         for name in ("time_steps", "in_channels", "stem_channels", "num_classes"):
             container.require_int(name, getattr(self, name))
-        if self.time_steps < 1:
-            raise ValueError(f"time_steps must be >= 1, got {self.time_steps}")
-        if self.in_channels < 1 or self.stem_channels < 1 or self.num_classes < 1:
-            raise ValueError("channel and class counts must be positive")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.stages:
             raise ValueError("stages must be non-empty")
         for ch, blocks, stride in self.stages:
             for v in (ch, blocks, stride):
                 container.require_int("stages entry", v)
             if ch < 1 or blocks < 1:
-                raise ValueError(f"invalid stage ({ch}, {blocks}, {stride})")
+                raise ValueError(f"stages entry ({ch}, {blocks}, {stride}) has a count below 1")
             if stride not in (1, 2):
-                raise ValueError(f"stage stride must be 1 or 2, got {stride}")
+                raise ValueError(f"stages stride must be 1 or 2, got {stride}")
         if len(self.dta_enabled) != 2 or not all(isinstance(v, bool) for v in self.dta_enabled):
             raise ValueError(f"dta_enabled must be a pair of bools, got {self.dta_enabled!r}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkSpec":
-        lif = d.get("lif", {})
-        return cls(
-            time_steps=d["time_steps"],
-            in_channels=d["in_channels"],
-            stem_channels=d["stem_channels"],
-            stages=tuple(tuple(s) for s in d["stages"]),
-            num_classes=d["num_classes"],
-            dta_enabled=tuple(d["dta_enabled"]),
-            lif=LifParams(tau=lif["tau"], v_th=lif["v_th"], alpha=lif["alpha"],
-                          reset_detached=lif["reset_detached"]),
-        )
 
-
-def spec_mismatch(a: NetworkSpec, b: NetworkSpec) -> str | None:
-    """Name of the first differing field, or None when compatible."""
-    da, db = asdict(a), asdict(b)
-    for key in da:
-        if key == "lif":
-            for sub in da["lif"]:
-                if da["lif"][sub] != db["lif"][sub]:
-                    return f"lif.{sub}"
-        elif da[key] != db[key]:
-            return key
+def spec_mismatch(a, b) -> str | None:
+    """Dotted name of the first field where spec dataclasses *a* and *b* differ, or None."""
+    for f in fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if is_dataclass(va):
+            sub = spec_mismatch(va, vb)
+            if sub is not None:
+                return f"{f.name}.{sub}"
+        elif va != vb:
+            return f.name
     return None
 
 
@@ -269,15 +253,9 @@ def save_checkpoint(path, net: Network) -> None:
 
 
 def load_checkpoint(path) -> Network:
-    """Read a ``DTASNN02`` checkpoint, or a ``DTASNN01`` one (no CRC trailer)."""
+    """The network of the checkpoint at *path*, or ``CheckpointError`` for any fault in it."""
     header, runs = container.read(path, CheckpointError)
-    try:
-        spec = NetworkSpec.from_dict(header)
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint spec is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"invalid checkpoint spec: {exc}") from exc
-    net = build(spec, seed=0)
+    net = build(container.decode(NetworkSpec, header, CheckpointError), seed=0)
     got, sizes = [r.size for r in runs], [a.size for a in net.state_arrays()]
     if got != sizes:
         raise CheckpointError(f"{path}: tensor runs of {got} elements, expected {sizes}")

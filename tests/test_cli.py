@@ -1,8 +1,11 @@
-"""CLI exit-code contract and command wiring, run in-process."""
+"""CLI exit-code contract and command wiring, run in-process, plus one run of
+the module entry point in a fresh interpreter."""
 
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +71,9 @@ class TestTrainCommand:
         ("train", ["--clip", "-1"], "clip"),
         ("synth-data", ["--train_samples", "0"], "train_samples"),
         ("synth-data", ["--dataset", "cifar10", "--train_samples", "0"], "train_samples"),
+        ("train", ["--stages", "8:1:3"], "stages"),
+        ("train", ["--tau", "2.0"], "tau"),
+        ("train", ["--stem_channels", "0"], "stem_channels"),
     ])
     def test_out_of_range_value_exit_2_before_any_output(self, tmp_path, capsys,
                                                          command, extra, key):
@@ -280,7 +286,7 @@ class TestGradcheckCommand:
 
     def test_fault_injection_fails(self, capsys):
         for op in ("conv2d", "conv2d_depthwise", "conv2d_pointwise", "lif_unroll",
-                   "cross_entropy", "batch_norm_2d"):
+                   "cross_entropy", "batch_norm_2d", "tsum"):
             assert main(["gradcheck", "--break", op]) == 1
             failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                       if line.endswith("FAIL")]
@@ -320,7 +326,7 @@ class TestGradcheckCommand:
         names = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                  if "max_rel_err" in line]
         assert len(names) == len(set(names))
-        for expected in ("add", "mul", "sigmoid", "gelu", "relu", "mean",
+        for expected in ("add", "mul", "sigmoid", "gelu", "relu", "mean", "tsum",
                          "reshape", "transpose", "conv2d", "conv2d_depthwise",
                          "conv2d_pointwise", "conv1d", "linear",
                          "batch_norm_2d", "cross_entropy", "lif_unroll", "dta_block"):
@@ -385,3 +391,32 @@ def test_checkpoint_loadable_via_library(tmp_path):
     net = load_checkpoint(os.path.join(out, "checkpoint.dtasnn"))
     assert net.spec.stem_channels == 4
     assert all(np.isfinite(p.values).all() for p in net.parameters())
+
+
+def test_module_entry_point_in_a_fresh_interpreter(tmp_path):
+    # every other test calls main() after the suite has imported numpy, so a
+    # fault in what the entry point does before numpy loads shows only here
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)}
+    common = ["--config", os.path.join(root, "configs", "synthetic.cfg"),
+              "--train_samples", "64", "--test_samples", "32"]
+
+    def dtasnn(*args):
+        return subprocess.run([sys.executable, "-m", "dtasnn.cli", *args, *common],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    run = dtasnn("train", "--epochs", "1", "--out", str(tmp_path / "run"))
+    assert run.returncode == 0, run.stderr
+    ckpt = tmp_path / "run" / "checkpoint.dtasnn"
+    run = dtasnn("eval", "--checkpoint", str(ckpt))
+    assert run.returncode == 0, run.stderr
+    (line,) = run.stdout.splitlines()
+    assert json.loads(line)["split"] == "val"
+    v1 = tmp_path / "v1.dtasnn"
+    v1.write_bytes(b"DTASNN01" + ckpt.read_bytes()[8:-4])
+    run = dtasnn("eval", "--checkpoint", str(v1))
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+    assert "bad container magic b'DTASNN01'" in run.stderr

@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import zlib
 from collections import Counter
 from dataclasses import asdict
 
@@ -257,7 +258,8 @@ class TestSynthetic:
     def test_container_header_missing_field(self, tmp_path):
         payload = json.dumps({"classes": 2}).encode("utf-8")
         path = tmp_path / "synth.dtasnn"
-        path.write_bytes(b"DTASNN01" + struct.pack("<I", len(payload)) + payload)
+        blob = container.MAGIC + struct.pack("<I", len(payload)) + payload
+        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
         with pytest.raises(FormatError, match="time_steps"):
             load_synthetic(path)
 
@@ -302,18 +304,6 @@ class TestSynthetic:
             save_synthetic(path, spec, samples)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["synth.dtasnn"]
-
-    def test_v1_fixture_without_trailer_loads_bitwise(self, tmp_path):
-        spec = SynthSpec(seed=4)
-        samples = gen_synthetic(spec, 5)
-        path = tmp_path / "synth.dtasnn"
-        save_synthetic(path, spec, samples)
-        path.write_bytes(b"DTASNN01" + path.read_bytes()[8:-4])
-        spec2, loaded = load_synthetic(path)
-        assert spec2 == spec
-        for a, b in zip(samples, loaded):
-            assert a.input.tobytes() == b.input.tobytes()
-            assert a.label == b.label
 
     def test_container_bad_magic(self, tmp_path):
         path = tmp_path / "synth.dtasnn"

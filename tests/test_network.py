@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dtasnn import container
-from dtasnn.container import MAGIC as CHECKPOINT_MAGIC, MAGIC_V1 as CHECKPOINT_MAGIC_V1
+from dtasnn.container import MAGIC as CHECKPOINT_MAGIC
 from dtasnn.data import FormatError, SynthSpec, gen_synthetic, load_synthetic, save_synthetic
 from dtasnn.neuron import LifParams
 from dtasnn.network import (CheckpointError, NetworkSpec, build, load_checkpoint,
@@ -445,21 +445,15 @@ class TestCheckpoint:
         assert not escaped, (f"{len(escaped)} of {2 * len(blob)} flips escaped: "
                              f"{Counter(escaped.values())}")
 
-    def test_v1_checkpoint_without_trailer_loads_bitwise(self, rng, tmp_path):
-        net = build(MINI, seed=3)
-        net.forward(Tensor(rng.standard_normal((4, 2, 3, 8, 8)).astype(np.float32)),
-                    training=True)
-        payload = json.dumps(asdict(net.spec), sort_keys=True).encode("utf-8")
-        parts = [CHECKPOINT_MAGIC_V1, struct.pack("<I", len(payload)), payload]
-        for arr in net.state_arrays():
-            flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
-            parts += [struct.pack("<I", flat.size), flat.tobytes()]
+    @CONTAINERS
+    def test_v1_container_refused(self, tmp_path, save, load, error):
+        # DTASNN01 had the same layout without the CRC trailer; it is refused,
+        # not read unchecked
         path = tmp_path / "v1.dtasnn"
-        path.write_bytes(b"".join(parts))
-        loaded = load_checkpoint(path)
-        assert spec_mismatch(loaded.spec, net.spec) is None
-        for a, b in zip(net.state_arrays(), loaded.state_arrays()):
-            assert a.tobytes() == b.tobytes()
+        save(path)
+        path.write_bytes(b"DTASNN01" + path.read_bytes()[8:-4])
+        with pytest.raises(error, match="bad container magic b'DTASNN01'"):
+            load(path)
 
     def test_seed_zero_checkpoint_bytes(self, tmp_path):
         # pins the RNG draw order, the run order and the header together
