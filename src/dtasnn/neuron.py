@@ -120,7 +120,7 @@ def lif_unroll(x: Tensor, p: LifParams, steps: int | None = None) -> Tensor:
     if x.ndim < 1 or steps < 1 or x.shape[0] < steps or x.shape[0] % steps:
         raise ShapeError(f"lif_unroll needs a leading axis of at least one step "
                          f"that splits into {steps} time steps, got shape {x.shape}")
-    tau = x.dtype.type(p.tau)
+    shape, tau = x.shape, x.dtype.type(p.tau)
     u, spikes = lif_forward(x.values.reshape(steps, -1), p)
 
     def bwd(g):
@@ -148,6 +148,6 @@ def lif_unroll(x: Tensor, p: LifParams, steps: int | None = None) -> Tensor:
             np.multiply(mask, tau, out=carried)
             np.multiply(du[t + 1], carried, out=carried)
             du[t] += carried
-        return (du.reshape(x.shape),)
+        return (du.reshape(shape),)
 
-    return apply_primitive((x,), spikes.reshape(x.shape), bwd)
+    return apply_primitive((x,), spikes.reshape(shape), bwd)

@@ -118,12 +118,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     weight raises :class:`ShapeError`. ``dilation > 1`` spreads the taps.
     Three kernel paths (point-wise matmul, depth-wise banded GEMM, general
     implicit GEMM) share one contract and are oracle-tested against a naive
-    loop nest.
+    loop nest. No path's node keeps the output or the input Tensor: each keeps
+    only the arrays its backward reads, named below.
 
     The point-wise path (a dense 1x1 weight with no padding) multiplies the
     (Cout, C) weight into a contiguous copy of ``x[:, :, ::stride, ::stride]``,
     one batched matmul over the images in NCHW layout. Its backward is two
     batched matmuls; at stride 2 the input gradient is scattered into zeros.
+    Its node keeps that strided copy and the weights.
 
     The general path (every other dense weight) pads the input once into a
     channels-last grid and splits it into ``stride x stride`` phases of
@@ -132,8 +134,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     constant row shift of ``(u * dilation // stride) * Wq + v * dilation //
     stride``, so it is one matmul over contiguous rows, accumulated into an
     output on the same grid that is cropped to (Ho, Wo). Its node keeps the
-    phase grid (about the size of the padded input) and, for a constant input
-    such as a data batch, returns no input gradient.
+    phase grid (about the size of the padded input) and the per-tap weights,
+    but of the input itself only its shape and dtype; for a constant input
+    such as a data batch it returns no input gradient.
 
     The depth-wise path turns kernel row u of channel c into the banded
     (W, Wo) matrix ``band[c, u]`` holding ``w[c, 0, u, v]`` at
@@ -242,6 +245,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             out_g.reshape(B, Hq, Wq, Cout)[:, :Ho, :Wo].transpose(0, 3, 1, 2))
         # a constant input (the data batch under the stem) needs no gradient
         need_gx = x.rec is not None or x.requires_grad
+        x_shape, x_dtype, w_dtype = xv.shape, xv.dtype, wv.dtype
 
         def bwd(g):
             g_g = np.zeros((N, Cout), dtype=dtype)
@@ -253,9 +257,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
                 np.matmul(phases[a, b, shift:].T, g_g[:n], out=gwt[u, v])
                 if gph is not None:
                     _addmm(gph[a, b, shift:], g_g[:n], wt[u, v].T)
-            gw = gwt.transpose(3, 2, 0, 1).astype(wv.dtype, copy=False)
-            gx = None if gph is None else _from_phases(gph, spans, xv.shape, Hq, Wq,
-                                                         xv.dtype)
+            gw = gwt.transpose(3, 2, 0, 1).astype(w_dtype, copy=False)
+            gx = None if gph is None else _from_phases(gph, spans, x_shape, Hq, Wq,
+                                                         x_dtype)
             return gx, gw
 
     return apply_primitive((x, w), out, bwd)
@@ -277,15 +281,16 @@ def conv1d(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"conv1d weight expects {Sin} channels, input provides {S}")
     padding = (k - 1) // 2
 
+    wv = w.values
     xp = np.pad(x.values, ((0, 0), (0, 0), (padding, padding)))
     win = sliding_window_view(xp, k, axis=2)
-    out = np.einsum("bslk,osk->bol", win, w.values)
+    out = np.einsum("bslk,osk->bol", win, wv)
 
     def bwd(g):
         gw = np.einsum("bol,bslk->osk", g, win)
         gxp = np.zeros_like(xp)
         for i in range(k):
-            gxp[:, :, i:i + L] += np.einsum("bol,os->bsl", g, w.values[:, :, i])
+            gxp[:, :, i:i + L] += np.einsum("bol,os->bsl", g, wv[:, :, i])
         return gxp[:, :, padding:padding + L], gw
 
     return apply_primitive((x, w), out, bwd)
@@ -297,10 +302,11 @@ def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear expects 2-D input and weight, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear inner dimensions differ: input {x.shape} vs weight {w.shape}")
-    out = x.values @ w.values.T + bias.values[None, :]
+    xv, wv = x.values, w.values
+    out = xv @ wv.T + bias.values[None, :]
 
     def bwd(g):
-        return g @ w.values, g.T @ x.values, g.sum(axis=0)
+        return g @ wv, g.T @ xv, g.sum(axis=0)
 
     return apply_primitive((x, w, bias), out, bwd)
 

@@ -9,13 +9,16 @@ gradient is dropped as soon as its node's backward has consumed it. A tensor
 that neither requires gradients nor is the output of a recorded primitive is
 a constant and never receives gradients.
 
-Memory: :func:`backward` takes each node off its record as the node's turn
-comes, so the node's output and the arrays its backward keeps are freed
-during the backward, and a record holds no tape once its backward returns.
-A record whose ``with`` block raises drops its tape on exit. Importing this
-module pins two glibc allocator thresholds for the process (see
-:func:`_keep_freed_pages`), so a freed tape stays in the heap and the next
-step reuses it instead of faulting fresh pages in.
+Memory: a node keeps a gradient slot for its output, not the output, and its
+backward closure keeps exactly the arrays that backward reads (as PyTorch's
+``ctx.save_for_backward`` does), so an intermediate dies with the forward's
+last reference unless a backward reads it. :func:`backward` takes each node
+off its record as its turn comes, freeing what its backward kept, and a
+record holds no tape once its backward returns. A record whose ``with``
+block raises drops its tape on exit. Importing this module pins two glibc
+allocator thresholds for the process (see :func:`_keep_freed_pages`), so a
+freed tape stays in the heap and the next step reuses it instead of
+faulting fresh pages in.
 
 Default element type is float32. Kernels are dtype-generic, so verification
 code may run the same graph in float64 by constructing float64 tensors.
@@ -103,7 +106,7 @@ class Tensor:
     optimizer mutates parameter values only between records).
     """
 
-    __slots__ = ("values", "grad", "rec", "requires_grad")
+    __slots__ = ("values", "grad", "rec", "slot", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False,
                  dtype: np.dtype | None = None):
@@ -120,6 +123,7 @@ class Tensor:
         self.values = arr
         self.grad: np.ndarray | None = None
         self.rec: ComputationRecord | None = None
+        self.slot: _Slot | None = None  # the gradient slot of a recorded output
         self.requires_grad = requires_grad
 
     @property
@@ -155,12 +159,21 @@ class Tensor:
         return mul(self, other)
 
 
-class _Node:
-    __slots__ = ("inputs", "out", "backward_fn")
+class _Slot:
+    """Where the gradient of one recorded output accumulates."""
+    grad: np.ndarray | None = None
 
-    def __init__(self, inputs, out, backward_fn):
+
+class _Node:
+    """A recorded primitive: its output's slot, and per input the slot of a
+    recorded intermediate, a leaf Tensor or None (a constant). It holds no
+    intermediate Tensor, so only its backward closure keeps arrays alive."""
+
+    __slots__ = ("inputs", "slot", "backward_fn")
+
+    def __init__(self, inputs, slot, backward_fn):
         self.inputs = inputs
-        self.out = out
+        self.slot = slot
         self.backward_fn = backward_fn
 
 
@@ -192,8 +205,8 @@ class ComputationRecord:
         global _ACTIVE
         _ACTIVE = None
         if exc_type is not None:
-            # the nodes hold the record in a cycle (node -> out -> rec ->
-            # nodes); clearing them frees an aborted step's tape now
+            # a caller's output (the loss) keeps the record alive, so clear
+            # the nodes to free an aborted step's tape now
             self.nodes.clear()
             self._backward_done = True
 
@@ -215,8 +228,11 @@ def apply_primitive(inputs: tuple, out_values: np.ndarray,
             raise RecordError("input tensor belongs to a different computation record")
         traced = traced or t.rec is rec or t.requires_grad
     if traced:
-        out.rec = rec
-        rec.nodes.append(_Node(inputs, out, backward_fn))
+        out.rec, out.slot = rec, _Slot()
+        # from a list: a generator per node faulted heap pages in every step
+        routes = tuple([t.slot if t.rec is rec else t if t.requires_grad else None
+                        for t in inputs])
+        rec.nodes.append(_Node(routes, out.slot, backward_fn))
     return out
 
 
@@ -225,11 +241,11 @@ def backward(loss: Tensor) -> None:
 
     Accumulation is additive: a tensor consumed k times receives the sum of
     its k partials. Every consumer of a node's output was recorded after it,
-    so the output's gradient is complete when the node's turn comes; it is
-    dropped once the node's backward has run, and only leaves (tensors that
-    require gradients) keep a ``.grad`` afterwards. Each node leaves the
-    record as its turn comes, so its output and the arrays its backward
-    keeps are freed before the nodes recorded earlier run, and the record is
+    so the gradient in the output's slot is complete when the node's turn
+    comes; it is dropped once the node's backward has run, and only leaves
+    (tensors that require gradients) keep a ``.grad`` afterwards. Each node
+    leaves the record as its turn comes, so the arrays its backward keeps
+    are freed before the nodes recorded earlier run, and the record is
     empty when this returns, also when a node's backward raises. Raises on a
     non-scalar loss, a loss detached from any record, or a record whose
     backward already ran or whose block raised.
@@ -243,19 +259,17 @@ def backward(loss: Tensor) -> None:
         raise RecordError("backward was already called on this record, or its block raised")
     rec._backward_done = True
     nodes = rec.nodes
-    loss.grad = np.ones_like(loss.values)
+    loss.slot.grad = np.ones_like(loss.values)
     try:
         while nodes:
             node = nodes.pop()
-            g = node.out.grad
+            g = node.slot.grad
             if g is None:
                 continue
             partials = node.backward_fn(g)
-            node.out.grad = None
+            node.slot.grad = None
             for t, p in zip(node.inputs, partials):
-                if p is None:
-                    continue
-                if t.rec is rec or t.requires_grad:
+                if t is not None and p is not None:
                     t.grad = p if t.grad is None else t.grad + p
     finally:
         nodes.clear()
@@ -271,11 +285,12 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    broadcast_shape(a.shape, b.shape)
+    a_shape, b_shape = a.shape, b.shape
+    broadcast_shape(a_shape, b_shape)
     out = a.values + b.values
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return apply_primitive((a, b), out, bwd)
 
@@ -286,7 +301,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = av * bv
 
     def bwd(g):
-        return _unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)
+        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
     return apply_primitive((a, b), out, bwd)
 

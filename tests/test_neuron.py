@@ -13,6 +13,7 @@ from dtasnn.neuron import LifParams, lif_forward, lif_unroll, surrogate_values
 from dtasnn.tensor import ComputationRecord, ShapeError, Tensor, backward, zero_grads
 
 from oracles import lif_bptt_ref, lif_forward_ref
+from tapes import closure_values, owner
 
 
 @pytest.fixture
@@ -224,8 +225,15 @@ class TestFusedPrimitive:
         x = Tensor(self.currents(rng, steps, dtype), requires_grad=True)
         with ComputationRecord() as rec:
             out = _spike_layer(x, p, steps)
+        # one node, routed from out's slot to x; its closure holds no Tensor
+        # and neither the input's memory nor the spikes'
         assert len(rec.nodes) == 1
-        assert rec.nodes[0].out is out and rec.nodes[0].inputs == (x,)
+        (node,) = rec.nodes
+        assert node.slot is out.slot and node.inputs == (x,)
+        held = closure_values(node.backward_fn)
+        assert not any(isinstance(v, Tensor) for v in held)
+        kept = [owner(v) for v in held if isinstance(v, np.ndarray)]
+        assert kept and not any(a is owner(x.values) or a is owner(out.values) for a in kept)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -11,6 +11,7 @@ from dtasnn import tensor as tz
 from dtasnn.tensor import ComputationRecord, RecordError, ShapeError, Tensor, backward
 
 from oracles import fd_grad, gelu_reference
+from tapes import tape_arrays
 
 
 def leaf(values, dtype=np.float64):
@@ -134,14 +135,19 @@ class TestBackwardSemantics:
         gc.disable()
         try:
             with ComputationRecord() as rec:
-                loss = tz.tsum(tz.sigmoid(a * two))
-                # every node output but the loss, which this frame holds
-                taped = [weakref.ref(n.out.values) for n in rec.nodes[:-1]]
+                y = a * two
+                s = tz.sigmoid(y)
+                loss = tz.tsum(s)
+                # every output but the loss, and every array the closures
+                # name but the leaf's and the constant's, which this frame holds
+                taped = [weakref.ref(v) for v in [y.values, s.values] + tape_arrays(rec)
+                         if v is not a.values and v is not two.values]
+                del y, s
                 backward(loss)
                 alive = [r for r in taped if r() is not None]
         finally:
             gc.enable()
-        assert len(taped) == 2 and not alive and rec.nodes == []
+        assert len(taped) == 3 and not alive and rec.nodes == []
         assert a.grad is not None
 
     def test_node_released_before_earlier_nodes_run(self):
@@ -173,13 +179,17 @@ class TestBackwardSemantics:
         try:
             with pytest.raises(ZeroDivisionError):
                 with ComputationRecord() as rec:
-                    loss = tz.tsum(tz.sigmoid(a * a))
-                    taped = [weakref.ref(n.out.values) for n in rec.nodes[:-1]]
+                    y = a * a
+                    s = tz.sigmoid(y)
+                    loss = tz.tsum(s)
+                    taped = [weakref.ref(v) for v in [y.values, s.values] + tape_arrays(rec)
+                             if v is not a.values]
+                    del y, s
                     1 / 0
             alive = [r for r in taped if r() is not None]
         finally:
             gc.enable()
-        assert len(taped) == 2 and not alive and rec.nodes == []
+        assert len(taped) == 3 and not alive and rec.nodes == []
         with pytest.raises(RecordError):
             backward(loss)
         assert a.grad is None

@@ -16,6 +16,7 @@ import pytest
 from dtasnn import training
 from dtasnn.config import load_config
 from dtasnn.data import SynthSpec, gen_synthetic
+from dtasnn.gradcheck import CHECK_NAMES, run_suite
 from dtasnn.network import NetworkSpec, build, load_checkpoint, named_leaves
 from dtasnn.neuron import LifParams
 from dtasnn.ops import BatchNormState
@@ -24,24 +25,78 @@ from dtasnn.training import (MetricsRecord, NumericsError, TrainConfig,
                              sgd_step, stack_batch, train)
 from dtasnn.tensor import ComputationRecord, Tensor, backward
 
+import tapes
 from oracles import cross_entropy_ref, fd_grad
 
 TINY_NET = NetworkSpec(time_steps=4, in_channels=2, stem_channels=4,
                        stages=((4, 1, 1),), num_classes=2,
                        lif=LifParams())
 TINY_DATA = SynthSpec(classes=2, time_steps=4, channels=2, height=6, width=6, seed=5)
+# CIFAR's input shape, 3x32x32, on a narrow backbone
+CIFAR_NET = NetworkSpec(time_steps=2, in_channels=3, stem_channels=8,
+                        stages=((8, 1, 1), (16, 1, 2)), num_classes=10, lif=LifParams())
+CIFAR_DATA = SynthSpec(classes=10, time_steps=2, channels=3, height=32, width=32, seed=7)
+DESK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic.cfg")
 
 
 def test_desk_step_keeps_every_gradient_float32():
     # one float64 scalar in a backward rule promotes every gradient upstream
-    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
-                                   "synthetic.cfg"))
+    cfg = load_config(DESK_CFG)
     net = build(cfg.network_spec(), seed=0)
     x, labels = stack_batch(gen_synthetic(cfg.synth_spec(0), 8))
     with ComputationRecord():
         backward(cross_entropy(net.forward(x, training=True), labels))
     dtypes = {n: None if p.grad is None else p.grad.dtype for n, p in net.named_parameters()}
     assert {n: d for n, d in dtypes.items() if d != np.float32} == {}
+
+
+@pytest.mark.parametrize("model", ["desk", "cifar"])
+def test_tape_keeps_only_what_a_backward_reads(monkeypatch, model):
+    # with the cyclic GC off, an output outlives the forward only if a
+    # backward closure names its memory or the caller holds it
+    if model == "desk":
+        cfg = load_config(DESK_CFG)
+        spec, data, batch = cfg.network_spec(), cfg.synth_spec(0), cfg.batch_size
+    else:
+        spec, data, batch = CIFAR_NET, CIFAR_DATA, 4
+    net = build(spec, seed=0)
+    x, labels = stack_batch(gen_synthetic(data, batch))
+    outputs, holders = [], []
+
+    def watch(out, backward_fn):
+        outputs.append(weakref.ref(out.values))
+        if any(isinstance(v, Tensor) for v in tapes.closure_values(backward_fn)):
+            holders.append(backward_fn.__qualname__)
+
+    tapes.watch_outputs(monkeypatch, watch)
+    gc.disable()
+    try:
+        with ComputationRecord() as rec:
+            logits = net.forward(x, training=True)
+            loss = cross_entropy(logits, labels)
+            named = {id(tapes.owner(a))
+                     for a in tapes.tape_arrays(rec) + [logits.values, loss.values]}
+            alive = [a for a in (r() for r in outputs) if a is not None]
+            stray = [a.shape for a in alive if id(tapes.owner(a)) not in named]
+            backward(loss)
+    finally:
+        gc.enable()
+    assert stray == [] and holders == []
+    assert len(outputs) > 40 and len(alive) < len(outputs)
+
+
+def test_no_gradcheck_entry_keeps_a_tensor_in_its_backward(monkeypatch):
+    # a closure that needs an input's shape captures the shape, not the Tensor
+    holders = set()
+
+    def watch(out, backward_fn):
+        if any(isinstance(v, Tensor) for v in tapes.closure_values(backward_fn)):
+            holders.add(backward_fn.__qualname__)
+
+    tapes.watch_outputs(monkeypatch, watch)
+    results = run_suite()
+    assert tuple(r.name for r in results) == CHECK_NAMES
+    assert holders == set()
 
 
 # Eight training steps of the desk model (configs/synthetic.cfg, B=64) in a
@@ -81,8 +136,7 @@ def test_steady_state_training_steps_fault_in_no_fresh_pages():
     src = os.path.dirname(os.path.dirname(os.path.abspath(training.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic.cfg")
-    run = subprocess.run([sys.executable, "-c", _FAULT_PROBE, cfg], env=env,
+    run = subprocess.run([sys.executable, "-c", _FAULT_PROBE, DESK_CFG], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     faults = json.loads(run.stdout)
@@ -309,26 +363,55 @@ class TestTrainLoop:
 
         assert run() == run()
 
-    def test_freeing_tapes_leaves_parameters_bitwise_unchanged(self, monkeypatch):
-        def run():
-            net = build(TINY_NET, seed=4)
-            cfg = TrainConfig(batch_size=4, epochs=2, lr0=0.05, seed=1)
-            train(net, gen_synthetic(TINY_DATA, 12), [], cfg)
-            return [p.values.copy() for p in net.parameters()]
+    def test_freeing_tapes_leaves_parameters_bitwise_unchanged(self, monkeypatch, tmp_path):
+        desk = load_config(DESK_CFG)
+        # (spec, data, training samples, batch size, epochs)
+        cases = [(TINY_NET, TINY_DATA, 12, 4, 2),
+                 (desk.network_spec(), desk.synth_spec(0), 128, 64, 1),
+                 (CIFAR_NET, CIFAR_DATA, 8, 4, 1)]
 
-        freed = run()
-        kept = []
+        def run(tag):
+            runs = []
+            for i, (spec, data, n, batch, epochs) in enumerate(cases):
+                net = build(spec, seed=4)
+                ckpt = tmp_path / f"{tag}{i}.dtasnn"
+                cfg = TrainConfig(batch_size=batch, epochs=epochs, lr0=0.05, seed=1,
+                                  checkpoint_path=str(ckpt))
+                val = gen_synthetic(replace(data, seed=data.seed + 1), batch)
+                metrics = train(net, gen_synthetic(data, n), val, cfg)
+                runs.append((ckpt.read_bytes(), [p.values.tobytes() for p in net.parameters()],
+                             [replace(m, wall_seconds=0.0) for m in metrics]))
+            return runs
+
+        freed = run("freed")
+        kept, steps = [], []
+
+        def keep_output(out, backward_fn):
+            if out.rec is not None:
+                kept.append(out)
 
         def backward_keeping_tape(loss):
             kept.append(list(loss.rec.nodes))
             backward(loss)
 
-        # every step's tape stays alive, as when the engine freed none
+        def sgd_step_ending_the_step(*args, **kwargs):
+            try:
+                sgd_step(*args, **kwargs)
+            finally:
+                steps.append(len(kept))
+                kept.clear()
+
+        # every output and every node of a step stay alive until the step
+        # ends, as when the engine freed nothing early
+        tapes.watch_outputs(monkeypatch, keep_output)
         monkeypatch.setattr(training, "backward", backward_keeping_tape)
-        held = run()
-        assert len(kept) == 6 and all(kept)
-        for a, b in zip(freed, held):
-            assert a.tobytes() == b.tobytes()
+        monkeypatch.setattr(training, "sgd_step", sgd_step_ending_the_step)
+        held = run("held")
+        assert len(steps) == 6 + 2 + 2 and min(steps) > 20
+        for (ckpt_a, params_a, metrics_a), (ckpt_b, params_b, metrics_b) in zip(freed, held):
+            assert ckpt_a == ckpt_b
+            assert params_a == params_b
+            assert metrics_a == metrics_b
 
     # abort: False runs to the end; True raises on a non-finite gradient
     # after backward (in sgd_step); "loss" raises on a non-finite loss
@@ -336,18 +419,31 @@ class TestTrainLoop:
     @pytest.mark.parametrize("abort", [False, True, "loss"])
     def test_last_step_tape_freed_when_train_returns(self, monkeypatch, abort):
         net = build(TINY_NET, seed=4)
+        params = {id(p.values) for p in net.parameters()}
+        step = {"rec": None, "outputs": []}
         taped = []
+
+        def watch_step_outputs(out, backward_fn):
+            if out.rec is None:  # evaluate, not a training step
+                return
+            if step["rec"] is None or step["rec"]() is not out.rec:
+                step["rec"], step["outputs"] = weakref.ref(out.rec), []
+            step["outputs"].append(weakref.ref(out.values))
 
         def cross_entropy_watching_tape(logits, labels):
             loss = cross_entropy(logits, labels)
             if loss.rec is not None:  # a training step, not evaluate
-                taped[:] = [weakref.ref(n.out.values) for n in loss.rec.nodes]
+                # every array the closures name but the parameters, which
+                # the network holds
+                taped[:] = [weakref.ref(a) for a in tapes.tape_arrays(loss.rec)
+                            if id(tapes.owner(a)) not in params]
             return loss
 
         def backward_then_poison(loss):
             backward(loss)
             net.head.weight.grad[0, 0] = np.inf
 
+        tapes.watch_outputs(monkeypatch, watch_step_outputs)
         monkeypatch.setattr(training, "cross_entropy", cross_entropy_watching_tape)
         if abort is True:
             monkeypatch.setattr(training, "backward", backward_then_poison)
@@ -362,10 +458,12 @@ class TestTrainLoop:
                     train(net, gen_synthetic(TINY_DATA, 8), [], cfg)
             else:
                 train(net, gen_synthetic(TINY_DATA, 8), gen_synthetic(TINY_DATA, 4), cfg)
-            alive = [r for r in taped if r() is not None]
+            outputs = step["outputs"]
+            alive = [r for r in taped + outputs if r() is not None]
         finally:
             gc.enable()
-        assert taped and not alive, f"{len(alive)} of {len(taped)} tape arrays alive"
+        assert taped and outputs and not alive, \
+            f"{len(alive)} of {len(taped)} tape arrays and {len(outputs)} outputs alive"
 
     def test_nonfinite_loss_aborts_keeping_last_checkpoint(self, tmp_path):
         net = build(TINY_NET, seed=0)
