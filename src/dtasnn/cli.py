@@ -22,15 +22,14 @@ from .ops import MissingStatisticsError
 from .training import NumericsError, evaluate, train
 
 
-def _static_samples(images, labels, time_steps, cap):
-    if cap > 0:
-        images, labels = images[:cap], labels[:cap]
+def _static_samples(images, labels, time_steps):
     return [Sample(input=direct_code(images[i], time_steps), label=int(labels[i]))
             for i in range(len(images))]
 
 
 def _load_split(cfg: RunConfig, train: bool):
-    """(images, labels) of the training or test split of a dataset on disk."""
+    """(images, labels) of the samples a run uses from the training or test
+    split of a dataset on disk; a sample count of 0 keeps the whole split."""
     if not cfg.data_dir:
         raise ConfigError(f"data_dir is required for dataset = {cfg.dataset}")
     if cfg.dataset == "cifar10":
@@ -41,6 +40,14 @@ def _load_split(cfg: RunConfig, train: bool):
     if x.shape[1] != cfg.in_channels:
         raise ConfigError(f"in_channels = {cfg.in_channels} but {cfg.dataset} "
                           f"provides {x.shape[1]} channels")
+    cap = cfg.train_samples if train else cfg.test_samples
+    if cap > 0:
+        x, y = x[:cap], y[:cap]
+    top = int(y.max(initial=-1))
+    if top >= cfg.num_classes:
+        raise ConfigError(f"num_classes = {cfg.num_classes} but the "
+                          f"{'training' if train else 'test'} split of {cfg.dataset} "
+                          f"has label {top}")
     return x, y
 
 
@@ -49,7 +56,7 @@ def build_test_set(cfg: RunConfig):
     if cfg.dataset == "synthetic":
         return gen_synthetic(cfg.synth_spec(1), cfg.test_samples)
     vx, vy = _load_split(cfg, train=False)
-    return _static_samples(vx, vy, cfg.time_steps, cfg.test_samples)
+    return _static_samples(vx, vy, cfg.time_steps)
 
 
 def build_datasets(cfg: RunConfig):
@@ -58,11 +65,9 @@ def build_datasets(cfg: RunConfig):
         return gen_synthetic(cfg.synth_spec(0), cfg.train_samples), build_test_set(cfg), None
 
     tx, ty = _load_split(cfg, train=True)
-    if cfg.train_samples > 0:
-        tx, ty = tx[:cfg.train_samples], ty[:cfg.train_samples]
     test_set = build_test_set(cfg)
     if not cfg.augment:
-        return _static_samples(tx, ty, cfg.time_steps, 0), test_set, None
+        return _static_samples(tx, ty, cfg.time_steps), test_set, None
 
     def epoch_transform(_, rng):
         return [Sample(input=direct_code(
@@ -70,7 +75,7 @@ def build_datasets(cfg: RunConfig):
                     cfg.time_steps), label=int(ty[i]))
                 for i in range(len(tx))]
 
-    base = _static_samples(tx, ty, cfg.time_steps, 0)
+    base = _static_samples(tx, ty, cfg.time_steps)
     return base, test_set, epoch_transform
 
 

@@ -1,8 +1,9 @@
 """Flat ``key = value`` run configuration with a closed schema.
 
 Every key is validated against the schema; unknown keys and malformed or
-out-of-range values are errors that name the offending key. Values given on
-the command line as ``--key value`` override the file.
+out-of-range values are errors that name the offending key, and so is a key
+set twice in one file. Values given on the command line as ``--key value``
+override the file.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class RunConfig:
             raise ValueError(f"unknown dataset {self.dataset!r} "
                              "(expected synthetic, cifar10, or idx)")
         for name, low in (("train_samples", 0), ("test_samples", 0), ("augment_pad", 0),
-                          ("log_every", 1), ("ablate_seeds", 1)):
+                          ("seed", 0), ("log_every", 1), ("ablate_seeds", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         # on a dataset read from disk 0 keeps every sample; here it would make none
@@ -142,7 +143,7 @@ def parse_value(key: str, raw: str):
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """RunConfig from ``key = value`` lines plus override strings."""
-    values = {}
+    values, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -151,6 +152,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line "
+                              f"{set_on[key]}")
+        set_on[key] = lineno
         values[key] = parse_value(key, raw.strip())
     for key, raw in (overrides or {}).items():
         values[key] = parse_value(key, raw)

@@ -65,8 +65,10 @@ def write(path, header: dict, arrays) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.strerror and exc.filename is None:
+            exc.filename = os.fspath(path)  # a failed write() names no file
         raise
     dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     try:

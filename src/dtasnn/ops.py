@@ -5,8 +5,8 @@ runs dense and depth-wise weights and has three kernel paths. The point-wise
 kernel (1x1, no padding) is one batched matmul per image over the strided
 input. The general kernel is an implicit GEMM (Chetlur et al., "cuDNN:
 Efficient Primitives for Deep Learning", 2014): it copies the input once into
-a zero-padded channels-last grid, split into stride x stride phases, and runs
-one accumulating matmul per kernel tap over a shifted block of that grid's
+a zero-padded channels-last array, reshaped into stride x stride phases, and
+runs one accumulating matmul per kernel tap over a shifted block of a phase's
 rows, so no im2col column matrix is built or kept for the backward. The
 depth-wise kernel is the Toeplitz lowering of Chellapilla et al. ("High
 Performance Convolutional Neural Networks for Document Processing", 2006)
@@ -70,45 +70,6 @@ def _addmm(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     gemm(1.0, b.T, a.T, beta=1.0, c=c.T, overwrite_c=True)
 
 
-def _phase_spans(H: int, W: int, Hq: int, Wq: int, padding: int, stride: int):
-    """``(p, q, rows, cols)`` of every phase that holds image pixels.
-
-    Phase (p, q) of the zero-padded input holds padded position
-    ``(i * stride + p, j * stride + q)`` at grid position (i, j); ``rows`` and
-    ``cols`` are the :func:`_tap_span` triples of its in-image part.
-    """
-    spans = []
-    for p in range(stride):
-        rows = _tap_span(p - padding, H, Hq, stride)
-        for q in range(stride):
-            cols = _tap_span(q - padding, W, Wq, stride)
-            if rows is not None and cols is not None:
-                spans.append((p, q, rows, cols))
-    return spans
-
-
-def _to_phases(a: np.ndarray, spans, Hq: int, Wq: int, stride: int,
-               dtype) -> np.ndarray:
-    """(B, C, H, W) to its zero-padded phases, (s, s, B*Hq*Wq, C)."""
-    B, C = a.shape[:2]
-    grid = np.zeros((stride, stride, B, Hq, Wq, C), dtype=dtype)
-    for p, q, (ro, ri, nr), (co, ci, nc) in spans:
-        grid[p, q, :, ro, co] = a[:, :, ri, ci].transpose(0, 2, 3, 1)
-    return grid.reshape(stride, stride, B * Hq * Wq, C)
-
-
-def _from_phases(ph: np.ndarray, spans, shape: tuple, Hq: int, Wq: int,
-                 dtype) -> np.ndarray:
-    """Inverse of :func:`_to_phases`: the in-image part, back to (B, C, H, W)."""
-    B, C, H, W = shape
-    grid = ph.reshape(*ph.shape[:2], B, Hq, Wq, C)
-    out = np.empty(shape, dtype=dtype)
-    # the phases partition the padded grid, so every pixel is written once
-    for p, q, (ro, ri, nr), (co, ci, nc) in spans:
-        out[:, :, ri, ci] = grid[p, q, :, ro, co].transpose(0, 3, 1, 2)
-    return out
-
-
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
            dilation: int = 1) -> Tensor:
     """Bias-free 2-D cross-correlation of (B, C, H, W) with a dense or depth-wise weight.
@@ -127,16 +88,22 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     batched matmuls; at stride 2 the input gradient is scattered into zeros.
     Its node keeps that strided copy and the weights.
 
-    The general path (every other dense weight) pads the input once into a
-    channels-last grid and splits it into ``stride x stride`` phases of
-    ``Hq x Wq`` positions, ``Hq = ceil((H + 2 * padding) / stride)``. Tap
-    (u, v) reads phase ``(u * dilation % stride, v * dilation % stride)`` at a
+    The general path (every other dense weight) copies the input into the
+    ``[padding:padding + H, padding:padding + W]`` window of one zeroed
+    channels-last array of shape ``(B, Hq * stride, Wq * stride, C)``,
+    ``Hq = ceil((H + 2 * padding) / stride)``, and reshapes that into
+    ``stride x stride`` phases of ``Hq x Wq`` positions: phase (p, q) holds
+    padded position ``(i * stride + p, j * stride + q)`` at (i, j). At
+    stride 1 the reshape is a view; otherwise it is one copy. Tap (u, v)
+    reads phase ``(u * dilation % stride, v * dilation % stride)`` at a
     constant row shift of ``(u * dilation // stride) * Wq + v * dilation //
     stride``, so it is one matmul over contiguous rows, accumulated into an
-    output on the same grid that is cropped to (Ho, Wo). Its node keeps the
-    phase grid (about the size of the padded input) and the per-tap weights,
-    but of the input itself only its shape and dtype; for a constant input
-    such as a data batch it returns no input gradient.
+    output on the same grid that is cropped to (Ho, Wo). The backward
+    accumulates the phase gradient the same way, reverses the reshape and
+    crops the window. Its node keeps the phase grid (about the size of the
+    padded input) and the per-tap weights, but of the input itself only its
+    dtype; for a constant input such as a data batch it returns no input
+    gradient.
 
     The depth-wise path turns kernel row u of channel c into the banded
     (W, Wo) matrix ``band[c, u]`` holding ``w[c, 0, u, v]`` at
@@ -231,8 +198,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         Wq = -(-(W + 2 * padding) // stride)
         N = B * Hq * Wq
         dtype = np.result_type(xv, wv)
-        spans = _phase_spans(H, W, Hq, Wq, padding, stride)
-        phases = _to_phases(xv, spans, Hq, Wq, stride, dtype)
+        # the zero-padded input, channels last, reshaped into its phases; at
+        # stride > 1 the reshape copies and the padded array dies with the
+        # rebinding
+        phases = np.zeros((B, Hq * stride, Wq * stride, C), dtype=dtype)
+        phases[:, padding:padding + H, padding:padding + W] = xv.transpose(0, 2, 3, 1)
+        phases = phases.reshape(B, Hq, stride, Wq, stride, C).transpose(
+            2, 4, 0, 1, 3, 5).reshape(stride, stride, N, C)
         # (kh, kw, C, Cout): the per-tap right-hand operand
         wt = np.ascontiguousarray(wv.transpose(2, 3, 1, 0), dtype=dtype)
         taps = [(u, v, u * dilation % stride, v * dilation % stride,
@@ -245,7 +217,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             out_g.reshape(B, Hq, Wq, Cout)[:, :Ho, :Wo].transpose(0, 3, 1, 2))
         # a constant input (the data batch under the stem) needs no gradient
         need_gx = x.rec is not None or x.requires_grad
-        x_shape, x_dtype, w_dtype = xv.shape, xv.dtype, wv.dtype
+        x_dtype, w_dtype = xv.dtype, wv.dtype
 
         def bwd(g):
             g_g = np.zeros((N, Cout), dtype=dtype)
@@ -258,9 +230,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
                 if gph is not None:
                     _addmm(gph[a, b, shift:], g_g[:n], wt[u, v].T)
             gw = gwt.transpose(3, 2, 0, 1).astype(w_dtype, copy=False)
-            gx = None if gph is None else _from_phases(gph, spans, x_shape, Hq, Wq,
-                                                         x_dtype)
-            return gx, gw
+            if gph is None:
+                return None, gw
+            # the phase split reversed: a copy at stride > 1, so the phase
+            # gradient is dropped before the crop copies again
+            grid = gph.reshape(stride, stride, B, Hq, Wq, C).transpose(
+                2, 3, 0, 4, 1, 5).reshape(B, Hq * stride, Wq * stride, C)
+            del gph
+            gx = grid[:, padding:padding + H, padding:padding + W].transpose(0, 3, 1, 2)
+            return np.ascontiguousarray(gx, dtype=x_dtype), gw
 
     return apply_primitive((x, w), out, bwd)
 

@@ -3,6 +3,7 @@ the module entry point in a fresh interpreter."""
 
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -21,6 +22,39 @@ FAST = ["--batch_size", "16", "--epochs", "2", "--time_steps", "4",
         "--stem_channels", "4", "--stages", "4:1:1", "--num_classes", "2",
         "--in_channels", "2", "--train_samples", "32", "--test_samples", "16",
         "--synth_height", "6", "--synth_width", "6", "--lr0", "0.05"]
+
+
+# a 2-class network for the 1-channel 6x6 images of write_idx
+IDX_NET = ["--in_channels", "1", "--num_classes", "2", "--time_steps", "2",
+           "--stem_channels", "4", "--stages", "4:1:1", "--batch_size", "8",
+           "--seed", "1"]
+
+
+def write_idx(tmp_path, classes):
+    """A 6x6 IDX training split of 24 images and test split of 12, with
+    labels drawn from [0, classes), in tmp_path/idx."""
+    data = tmp_path / "idx"
+    data.mkdir()
+    rng = np.random.default_rng(0)
+    for prefix, n in (("train", 24), ("t10k", 12)):
+        labels = rng.integers(0, classes, n)
+        with open(data / f"{prefix}-images-idx3-ubyte", "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x00000803, n, 6, 6))
+            fh.write(rng.integers(0, 256, (n, 6, 6), dtype=np.uint8).tobytes())
+        with open(data / f"{prefix}-labels-idx1-ubyte", "wb") as fh:
+            fh.write(struct.pack(">II", 0x00000801, n))
+            fh.write(labels.astype(np.uint8).tobytes())
+    return data
+
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def child_env():
+    """The environment for a ``python -m dtasnn.cli`` child: this checkout's
+    src first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p)}
 
 
 def run_fast_train(tmp_path, extra=None):
@@ -74,6 +108,7 @@ class TestTrainCommand:
         ("train", ["--stages", "8:1:3"], "stages"),
         ("train", ["--tau", "2.0"], "tau"),
         ("train", ["--stem_channels", "0"], "stem_channels"),
+        ("train", ["--seed", "-1"], "seed"),
     ])
     def test_out_of_range_value_exit_2_before_any_output(self, tmp_path, capsys,
                                                          command, extra, key):
@@ -174,20 +209,8 @@ class TestEvalCommand:
         assert rec["acc"] == best
 
     def test_eval_reads_only_the_test_split(self, tmp_path, capsys):
-        data = tmp_path / "idx"
-        data.mkdir()
-        rng = np.random.default_rng(0)
-        for prefix, n in (("train", 24), ("t10k", 12)):
-            labels = rng.integers(0, 2, n)
-            with open(data / f"{prefix}-images-idx3-ubyte", "wb") as fh:
-                fh.write(struct.pack(">IIII", 0x00000803, n, 6, 6))
-                fh.write(rng.integers(0, 256, (n, 6, 6), dtype=np.uint8).tobytes())
-            with open(data / f"{prefix}-labels-idx1-ubyte", "wb") as fh:
-                fh.write(struct.pack(">II", 0x00000801, n))
-                fh.write(labels.astype(np.uint8).tobytes())
-        args = ["--dataset", "idx", "--data_dir", str(data), "--in_channels", "1",
-                "--num_classes", "2", "--time_steps", "2", "--stem_channels", "4",
-                "--stages", "4:1:1", "--batch_size", "8", "--seed", "1"]
+        data = write_idx(tmp_path, classes=2)
+        args = ["--dataset", "idx", "--data_dir", str(data)] + IDX_NET
         out = str(tmp_path / "run")
         assert main(["train", "--out", out, "--epochs", "1"] + args) == 0
         ckpt = os.path.join(out, "checkpoint.dtasnn")
@@ -201,6 +224,23 @@ class TestEvalCommand:
         for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
             os.remove(data / name)
         assert accuracy() == both
+
+    def test_label_past_num_classes_exit_2_before_any_output(self, tmp_path, capsys):
+        # a checkpoint of the same 2-class network, trained on synthetic data
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out), "--epochs", "1", "--train_samples", "16",
+                     "--test_samples", "8", "--synth_height", "6",
+                     "--synth_width", "6"] + IDX_NET) == 0
+        ckpt = out / "checkpoint.dtasnn"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        args = ["--dataset", "idx", "--data_dir", str(write_idx(tmp_path, classes=10))]
+        for command in (["train", "--out", str(out)], ["eval", "--checkpoint", str(ckpt)]):
+            assert main(command + args + IDX_NET) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "num_classes" in err
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_corrupted_magic_exit_2(self, tmp_path, capsys):
         _, out = run_fast_train(tmp_path, ["--epochs", "0"])
@@ -396,16 +436,13 @@ def test_checkpoint_loadable_via_library(tmp_path):
 def test_module_entry_point_in_a_fresh_interpreter(tmp_path):
     # every other test calls main() after the suite has imported numpy, so a
     # fault in what the entry point does before numpy loads shows only here
-    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)}
-    common = ["--config", os.path.join(root, "configs", "synthetic.cfg"),
+    common = ["--config", os.path.join(ROOT, "configs", "synthetic.cfg"),
               "--train_samples", "64", "--test_samples", "32"]
 
     def dtasnn(*args):
         return subprocess.run([sys.executable, "-m", "dtasnn.cli", *args, *common],
-                              cwd=tmp_path, env=env, capture_output=True, text=True,
-                              timeout=120)
+                              cwd=tmp_path, env=child_env(), capture_output=True,
+                              text=True, timeout=120)
 
     run = dtasnn("train", "--epochs", "1", "--out", str(tmp_path / "run"))
     assert run.returncode == 0, run.stderr
@@ -420,3 +457,26 @@ def test_module_entry_point_in_a_fresh_interpreter(tmp_path):
     assert run.returncode == 2
     assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
     assert "bad container magic b'DTASNN01'" in run.stderr
+
+
+def test_full_disk_keeps_the_previous_checkpoint(tmp_path):
+    # the child's own RLIMIT_FSIZE stops the first checkpoint write partway;
+    # CPython ignores SIGXFSZ, so the write fails with EFBIG
+    args = ["train", "--config", os.path.join(ROOT, "configs", "synthetic.cfg"),
+            "--train_samples", "64", "--test_samples", "32", "--out", str(tmp_path / "run")]
+    assert main(args + ["--epochs", "0"]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.dtasnn"
+    previous = ckpt.read_bytes()
+    limit = len(previous) // 2
+
+    def cap_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    run = subprocess.run([sys.executable, "-m", "dtasnn.cli", *args, "--epochs", "1"],
+                         cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+                         timeout=120, preexec_fn=cap_file_size)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+    assert "File too large" in run.stderr and str(ckpt) in run.stderr
+    assert ckpt.read_bytes() == previous
+    assert not os.path.exists(str(ckpt) + ".tmp")

@@ -48,6 +48,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match="stages"):
             parse_config("stages = 16:1")
 
+    def test_key_set_twice_names_key_and_both_lines(self):
+        with pytest.raises(ConfigError, match=r"line 3: key 'epochs' is already set on line 1"):
+            parse_config("epochs = 3\nlr0 = 0.05\nepochs = 30")
+
     @pytest.mark.parametrize("raw,value", [("true", True), ("1", True),
                                            ("false", False), ("off", False)])
     def test_bool_forms(self, raw, value):
