@@ -11,7 +11,11 @@ Two branches gate the output of a spiking layer:
 
 The fused gate is ``sigmoid(cross * non_identical) * spikes``, so the output
 vanishes wherever no spike fired and stays strictly below 1 in magnitude for
-binary spikes.
+binary spikes. The gate is one primitive, :func:`dta_gate`, and so is the
+non-identical branch's product of its local map, global map and features,
+:func:`tna_product`. The cross-attention branch hands the gate only the two
+(T, B, C) maps its local attentions add over space, so no full-size array is
+built or kept for it.
 
 Spike tensors are laid out (T, B, C, H, W).
 """
@@ -21,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit as _expit
 
 from . import tensor as tz
 from .ops import conv1d, conv2d, linear
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, apply_primitive
 
 # cross-attention 1-D kernel length, along time and along channels
 K_TXA = 3
@@ -119,31 +124,32 @@ def smp(x: Tensor) -> Tensor:
 _LANES = {"t": (1, 2, 0), "c": (1, 0, 2)}
 
 
-def local_attention(x: Tensor, pooled: Tensor, kernel: Tensor, scale: Tensor,
+def local_attention(pooled: Tensor, kernel: Tensor, scale: Tensor,
                     target_dim: str) -> Tensor:
-    """One identical-branch pass: 1-D conv along the target dim, sigmoid,
-    learnable scale, then a residual add broadcast over the spatial axes.
+    """One identical-branch map: 1-D conv of the (T, B, C) spatial mean
+    *pooled* along the target dim, sigmoid, then the learnable scale.
 
     ``target_dim`` is "t" (slide along time, mix channels) or "c" (slide
-    along channels, mix time). ``pooled`` is the (T, B, C) spatial mean of x.
+    along channels, mix time). Returns a (T, B, C) map, which T-XA adds to
+    the spikes over every spatial position.
     """
-    _require_5d(x, "local_attention")
-    if pooled.shape != x.shape[:3]:
-        raise ShapeError(f"pooled map {pooled.shape} does not match input {x.shape[:3]}")
+    if pooled.ndim != 3:
+        raise ShapeError(f"pooled map must be (T, B, C), got {pooled.shape}")
     if target_dim not in _LANES:
         raise ValueError(f"target_dim must be 't' or 'c', got {target_dim!r}")
     perm = _LANES[target_dim]
     attn = scale * tz.sigmoid(conv1d(tz.transpose(pooled, perm), kernel))
-    attn = tz.transpose(attn, np.argsort(perm))         # back to (T, B, C)
-    return x + tz.reshape(attn, pooled.shape + (1, 1))
+    return tz.transpose(attn, np.argsort(perm))
 
 
-def t_xa(x: Tensor, p: TxaParams) -> Tensor:
-    """Identical cross attention: product of the time- and channel-target passes."""
+def t_xa(x: Tensor, p: TxaParams) -> tuple[Tensor, Tensor]:
+    """Identical cross attention's (T, B, C) maps ``(a, b)``: the time- and
+    the channel-target pass over the spatial mean of x. T-XA itself is
+    ``(x + a) * (x + b)`` over every spatial position; :func:`dta_gate`
+    forms it without building it."""
     pooled = smp(x)
-    tla = local_attention(x, pooled, p.tla_kernel, p.p_t, "t")
-    cla = local_attention(x, pooled, p.cla_kernel, p.p_c, "c")
-    return tla * cla
+    return (local_attention(pooled, p.tla_kernel, p.p_t, "t"),
+            local_attention(pooled, p.cla_kernel, p.p_c, "c"))
 
 
 def ltca(f: Tensor, p: TnaParams) -> Tensor:
@@ -168,6 +174,29 @@ def gtca(f: Tensor, p: TnaParams) -> Tensor:
     return tz.reshape(h, (B, tc, 1, 1))
 
 
+def tna_product(local: Tensor, glob: Tensor, feat: Tensor) -> Tensor:
+    """``local * glob * feat``, T-NA's gating of its encoding, as one node.
+
+    *local* and *feat* are (B, TC, H, W) and *glob* is the (B, TC, 1, 1)
+    global map. The node keeps the three operands and no product of them.
+    """
+    if local.shape != feat.shape or glob.shape != feat.shape[:2] + (1, 1):
+        raise ShapeError(f"tna_product got {local.shape}, {glob.shape} and {feat.shape}")
+    lv, gv, fv = local.values, glob.values, feat.values
+    out = lv * gv
+    out *= fv
+
+    def bwd(g):
+        g_lg = g * fv
+        g_feat = lv * gv
+        g_feat *= g
+        g_glob = (g_lg * lv).sum(axis=(2, 3), keepdims=True)
+        g_lg *= gv
+        return g_lg, g_glob, g_feat
+
+    return apply_primitive((local, glob, feat), out, bwd)
+
+
 def t_na(x: Tensor, p: TnaParams) -> Tensor:
     """Non-identical attention over the fused time-channel axis.
 
@@ -179,28 +208,85 @@ def t_na(x: Tensor, p: TnaParams) -> Tensor:
     T, B, C, H, W = x.shape
     folded = tz.reshape(tz.transpose(x, (1, 0, 2, 3, 4)), (B, T * C, H, W))
     feat = tz.gelu(conv2d(folded, p.encode))
-    attended = ltca(feat, p) * gtca(feat, p) * feat
+    attended = tna_product(ltca(feat, p), gtca(feat, p), feat)
     out = conv2d(attended, p.decode) + folded
     return tz.transpose(tz.reshape(out, (B, T, C, H, W)), (1, 0, 2, 3, 4))
 
 
+def dta_gate(spikes: Tensor, a: Tensor | None, b: Tensor | None,
+             tna: Tensor | None) -> Tensor:
+    """The DTA gate ``sigmoid(t_xa * tna) * spikes`` as one node.
+
+    *spikes* is (T, B, C, H, W) and must be binary. *a* and *b* are T-XA's
+    (T, B, C) maps (:func:`t_xa`), or None when T-XA is off; *tna* is T-NA's
+    output, or None when T-NA is off. A branch that is off is a factor of 1,
+    and with both off the spikes are returned as they are. T-XA is
+    ``(spikes + a) * (spikes + b)``, which is ``(1 + a) * (1 + b)`` where a
+    spike fired and ``a * b`` where none did, so the node keeps the two maps
+    in place of T-XA. It also keeps the sigmoid, *tna* when both branches
+    run, and the spikes as uint8; the check that rejects non-binary spikes
+    is the one that packs them.
+    """
+    _require_5d(spikes, "dta")
+    sv = spikes.values
+    fired = tz.binary_bytes(sv)
+    if fired is None:
+        raise ValueError("dta input must be binary spikes")
+    dtype, with_txa, with_tna = sv.dtype, a is not None, tna is not None
+    if not (with_txa or with_tna):
+        return spikes
+    if with_txa and not a.shape == b.shape == sv.shape[:3]:
+        raise ShapeError(f"T-XA maps {a.shape} and {b.shape} do not match spikes {sv.shape}")
+    if with_tna and tna.shape != sv.shape:
+        raise ShapeError(f"T-NA output {tna.shape} does not match spikes {sv.shape}")
+    ak = bk = tv = None
+    if with_txa:
+        ak, bk = tz.pack(a.values), tz.pack(b.values)
+        pre = sv + a.values[..., None, None]
+        pre *= sv + b.values[..., None, None]
+        if with_tna:
+            tv = tna.values
+            pre *= tv
+    else:
+        pre = tna.values
+    sig = _expit(pre).astype(dtype, copy=False)
+    out = sig * sv
+
+    def bwd(g):
+        # the partial of the sigmoid's input is zero wherever no spike fired,
+        # so only T-XA's fired factors (1 + a) and (1 + b) enter a product
+        g_pre = g * fired
+        g_pre *= sig
+        g_pre *= 1.0 - sig
+        g_x = g * sig
+        partials = [g_x]
+        if with_txa:
+            am = ak.astype(dtype, copy=False)[..., None, None]
+            bm = bk.astype(dtype, copy=False)[..., None, None]
+            g_txa = g_pre if tv is None else g_pre * tv
+            g_a = g_txa * (1 + bm)
+            g_b = g_txa * (1 + am)
+            del g_txa
+            g_x += g_b
+            g_x += g_a
+            partials += [g_a.sum(axis=(3, 4)), g_b.sum(axis=(3, 4))]
+            if with_tna:
+                g_pre *= (1 + am) * (1 + bm)
+        if with_tna:
+            partials.append(g_pre)
+        return partials
+
+    inputs = (spikes,) + ((a, b) if with_txa else ()) + ((tna,) if with_tna else ())
+    return apply_primitive(inputs, out, bwd)
+
+
 def dta(spikes: Tensor, txa: TxaParams | None, tna: TnaParams | None) -> Tensor:
-    """Fused gate: ``sigmoid(txa * tna) * spikes``.
+    """Fused gate ``sigmoid(txa * tna) * spikes`` (:func:`dta_gate`).
 
     A branch runs exactly when its parameters are given; a missing branch
     contributes an all-ones factor, and with neither the spikes pass through
     untouched. The input must be binary, as produced by a spiking layer.
     """
     _require_5d(spikes, "dta")
-    sv = spikes.values
-    if not np.all((sv == 0) | (sv == 1)):
-        raise ValueError("dta input must be binary spikes")
-    if txa is None and tna is None:
-        return spikes
-    if tna is None:
-        gate = t_xa(spikes, txa)
-    elif txa is None:
-        gate = t_na(spikes, tna)
-    else:
-        gate = t_xa(spikes, txa) * t_na(spikes, tna)
-    return tz.sigmoid(gate) * spikes
+    a, b = (None, None) if txa is None else t_xa(spikes, txa)
+    return dta_gate(spikes, a, b, None if tna is None else t_na(spikes, tna))

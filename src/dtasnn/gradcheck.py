@@ -22,7 +22,7 @@ FD_STEP = 1e-3
 CHECK_NAMES = ("add", "mul", "sigmoid", "gelu", "relu", "mean", "tsum", "reshape",
                "transpose", "conv2d", "conv2d_depthwise", "conv1d", "linear",
                "batch_norm_2d", "cross_entropy", "lif_unroll", "dta_block",
-               "conv2d_pointwise")
+               "conv2d_pointwise", "dta_gate", "tna_product")
 
 
 def numerical_grad(f: Callable[[], Tensor], t: Tensor) -> np.ndarray:
@@ -281,5 +281,42 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
     wp = param(4, 3, 1, 1, scale=0.5)
     probep = Tensor(rng.standard_normal((2, 4, 3, 3)), dtype=np.float64)
     run_conv2d("conv2d_pointwise", xp, wp, probep, stride=2, padding=0, dilation=1)
+
+    # the fused gate with both branches, T-XA only and T-NA only: the worst
+    # error of the three. The spikes are binary, so their gradient is checked
+    # against central differences of the gate's formula over real-valued
+    # spikes, x * sigmoid((x + a) * (x + b) * tna).
+    gs = Tensor((rng.random((2, 2, 3, 2, 2)) < 0.5).astype(np.float64), requires_grad=True)
+    ga, gb = param(2, 2, 3, scale=0.5), param(2, 2, 3, scale=0.5)
+    gt = param(2, 2, 3, 2, 2)
+    probe_g = probe(2, 2, 3, 2, 2)
+    flip = break_op == "dta_gate"
+    gate_err = 0.0
+    for maps, tna_out in (((ga, gb), gt), ((ga, gb), None), ((None, None), gt)):
+        def gate_loss():
+            return tz.tsum(attention.dta_gate(gs, *maps, tna_out) * probe_g)
+
+        def real_spikes_loss():
+            x = gs.values
+            pre = np.ones_like(x) if tna_out is None else tna_out.values
+            if maps[0] is not None:
+                pre = pre * (x + ga.values[..., None, None]) * (x + gb.values[..., None, None])
+            return Tensor(np.sum(probe_g.values * x / (1.0 + np.exp(-pre))))
+
+        (g_spikes,) = analytic_grads(gate_loss, [gs])
+        gate_err = max(gate_err,
+                       gradcheck(gate_loss, [t for t in (*maps, tna_out) if t is not None],
+                                 flip_sign=flip),
+                       max_relative_error(-g_spikes if flip else g_spikes,
+                                          numerical_grad(real_spikes_loss, gs)))
+    results.append(CheckResult("dta_gate", gate_err, 1e-3))
+
+    # T-NA's product of its local map, its (B, TC, 1, 1) global map and its
+    # features
+    tl, tf = param(2, 3, 3, 3), param(2, 3, 3, 3)
+    tg = param(2, 3, 1, 1)
+    probe_t = probe(2, 3, 3, 3)
+    run("tna_product", 1e-3,
+        lambda: tz.tsum(attention.tna_product(tl, tg, tf) * probe_t), [tl, tg, tf])
 
     return results

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import dgemm as _dgemm, sgemm as _sgemm
 
-from .tensor import GeometryError, ShapeError, Tensor, apply_primitive
+from .tensor import GeometryError, ShapeError, Tensor, apply_primitive, pack
 
 
 # batch norm: share of the running statistics kept per training batch, and
@@ -86,7 +86,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     (Cout, C) weight into a contiguous copy of ``x[:, :, ::stride, ::stride]``,
     one batched matmul over the images in NCHW layout. Its backward is two
     batched matmuls; at stride 2 the input gradient is scattered into zeros.
-    Its node keeps that strided copy and the weights.
+    Its node keeps that strided copy, as uint8 when it is binary
+    (:func:`~dtasnn.tensor.pack`), and the weights.
 
     The general path (every other dense weight) copies the input into the
     ``[padding:padding + H, padding:padding + W]`` window of one zeroed
@@ -101,9 +102,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     output on the same grid that is cropped to (Ho, Wo). The backward
     accumulates the phase gradient the same way, reverses the reshape and
     crops the window. Its node keeps the phase grid (about the size of the
-    padded input) and the per-tap weights, but of the input itself only its
-    dtype; for a constant input such as a data batch it returns no input
-    gradient.
+    padded input), as uint8 when it is binary, such as the grid of a spike
+    map, and widens it back for the backward; it also keeps the per-tap
+    weights, but of the input itself only its dtype. For a constant input
+    such as a data batch it returns no input gradient.
 
     The depth-wise path turns kernel row u of channel c into the banded
     (W, Wo) matrix ``band[c, u]`` holding ``w[c, 0, u, v]`` at
@@ -138,6 +140,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         xs = np.ascontiguousarray(xv[:, :, ::stride, ::stride]).reshape(B, C, Ho * Wo)
         w2 = wv[:, :, 0, 0]
         out = np.matmul(w2, xs).reshape(B, Cout, Ho, Wo)
+        xs, dtype = pack(xs), xv.dtype
 
         def bwd(g):
             g3 = g.reshape(B, Cout, Ho * Wo)
@@ -145,9 +148,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             if stride == 1:
                 gx = gxs
             else:
-                gx = np.zeros((B, C, H, W), dtype=xs.dtype)
+                gx = np.zeros((B, C, H, W), dtype=dtype)
                 gx[:, :, ::stride, ::stride] = gxs
-            gw = np.matmul(g3, xs.transpose(0, 2, 1)).sum(axis=0)[:, :, None, None]
+            xst = xs.astype(dtype, copy=False).transpose(0, 2, 1)
+            gw = np.matmul(g3, xst).sum(axis=0)[:, :, None, None]
             return gx, gw
 
     elif Cg != C:
@@ -218,8 +222,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         # a constant input (the data batch under the stem) needs no gradient
         need_gx = x.rec is not None or x.requires_grad
         x_dtype, w_dtype = xv.dtype, wv.dtype
+        kept = pack(phases)
+        del phases
 
         def bwd(g):
+            phases = kept.astype(dtype, copy=False)
             g_g = np.zeros((N, Cout), dtype=dtype)
             g_g.reshape(B, Hq, Wq, Cout)[:, :Ho, :Wo] = g.transpose(0, 2, 3, 1)
             gwt = np.empty_like(wt)
@@ -229,6 +236,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
                 np.matmul(phases[a, b, shift:].T, g_g[:n], out=gwt[u, v])
                 if gph is not None:
                     _addmm(gph[a, b, shift:], g_g[:n], wt[u, v].T)
+            del phases  # the widened grid, when the node kept it packed
             gw = gwt.transpose(3, 2, 0, 1).astype(w_dtype, copy=False)
             if gph is None:
                 return None, gw

@@ -12,7 +12,11 @@ a constant and never receives gradients.
 Memory: a node keeps a gradient slot for its output, not the output, and its
 backward closure keeps exactly the arrays that backward reads (as PyTorch's
 ``ctx.save_for_backward`` does), so an intermediate dies with the forward's
-last reference unless a backward reads it. :func:`backward` takes each node
+last reference unless a backward reads it. An array a backward reads whose
+values are all exactly 0 or 1, such as spikes or a phase grid built from
+them, is kept as uint8 (:func:`pack`; the "binarize" encoding of Jain et
+al., "Gist", ISCA 2018), a quarter of float32's bytes, and the backward
+widens it back as one transient array. :func:`backward` takes each node
 off its record as its turn comes, freeing what its backward kept, and a
 record holds no tape once its backward returns. A record whose ``with``
 block raises drops its tape on exit. Importing this module pins two glibc
@@ -209,6 +213,25 @@ class ComputationRecord:
             # the nodes to free an aborted step's tape now
             self.nodes.clear()
             self._backward_done = True
+
+
+def binary_bytes(a: np.ndarray) -> np.ndarray | None:
+    """*a* as a uint8 array of 0s and 1s, or None when some value of *a* is
+    not exactly 0 or 1 (a ``-0.0`` or a NaN counts as not)."""
+    ones = a == 1
+    if np.count_nonzero(ones) != np.count_nonzero(a.view(f"u{a.itemsize}")):
+        return None
+    return ones.view(np.uint8)
+
+
+def pack(a: np.ndarray) -> np.ndarray:
+    """What a backward should keep of the float array *a*: its
+    :func:`binary_bytes` when a record is active and *a* is binary, else *a*
+    itself. The backward widens a packed array back to its compute dtype."""
+    if _ACTIVE is None:
+        return a
+    packed = binary_bytes(a)
+    return a if packed is None else packed
 
 
 def apply_primitive(inputs: tuple, out_values: np.ndarray,

@@ -87,8 +87,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     z = lv - lv.max(axis=1, keepdims=True)
     e = np.exp(z)
     e_sum = e.sum(axis=1, keepdims=True)
-    onehot = np.zeros((n, k), dtype=logits.dtype)
-    onehot[np.arange(n), [int(l) for l in labels]] = 1.0
+    onehot = np.zeros((n, k), dtype=np.uint8)  # kept by the backward: bytes, not floats
+    onehot[np.arange(n), [int(l) for l in labels]] = 1
     loss = -((z - np.log(e_sum)) * onehot).sum(axis=1).mean()
 
     def bwd(g):

@@ -214,8 +214,8 @@ def smp_loop(x):
 
 
 def local_attention_ref(x, kernel, scale, target_dim):
-    """Literal composition: pool, 1-D conv along the target, sigmoid, scale,
-    residual add of the map onto the full input."""
+    """Literal composition: pool, 1-D conv along the target, sigmoid, scale;
+    the (T, B, C) map that T-XA adds to every spatial position of x."""
     pooled = smp_loop(x)                     # (T, B, C)
     T, B, C = pooled.shape
     k = kernel.shape[2]
@@ -227,15 +227,35 @@ def local_attention_ref(x, kernel, scale, target_dim):
     conv = conv1d_loop(lane, kernel, pad)
     attn = scale * sigmoid_ref(conv)
     if target_dim == "t":
-        attn = attn.transpose(2, 0, 1)
-    else:
-        attn = attn.transpose(1, 0, 2)
-    return x + attn[:, :, :, None, None]
+        return attn.transpose(2, 0, 1)
+    return attn.transpose(1, 0, 2)
 
 
-def t_xa_ref(x, tla_kernel, cla_kernel, p_t, p_c):
-    return (local_attention_ref(x, tla_kernel, p_t, "t")
-            * local_attention_ref(x, cla_kernel, p_c, "c"))
+def t_xa_ref(x, a, b):
+    """T-XA from its two (T, B, C) maps: the residual adds of both onto the
+    full input, multiplied."""
+    return (x + a[:, :, :, None, None]) * (x + b[:, :, :, None, None])
+
+
+def t_xa_maps_ref(x, tla_kernel, cla_kernel, p_t, p_c):
+    return (local_attention_ref(x, tla_kernel, p_t, "t"),
+            local_attention_ref(x, cla_kernel, p_c, "c"))
+
+
+def dta_gate_ref(spikes, a, b, tna):
+    """``sigmoid(t_xa * tna) * spikes`` in float64; a branch passed as None
+    (both maps, or tna) is a factor of 1. Defined for any real spikes."""
+    spikes = np.asarray(spikes, dtype=np.float64)
+    gate = np.ones_like(spikes)
+    if a is not None:
+        gate = gate * t_xa_ref(spikes, a, b)
+    if tna is not None:
+        gate = gate * tna
+    return sigmoid_ref(gate) * spikes
+
+
+def tna_product_ref(local, glob, feat):
+    return local * glob * feat
 
 
 def gelu_vec_ref(x):
@@ -265,13 +285,12 @@ def t_na_ref(x, p):
     T, B, C, H, W = x.shape
     folded = x.transpose(1, 0, 2, 3, 4).reshape(B, T * C, H, W)
     feat = gelu_vec_ref(conv2d_loop(folded, p.encode.values, 1, 0, 1))
-    attended = ltca_ref(feat, p) * gtca_ref(feat, p) * feat
+    attended = tna_product_ref(ltca_ref(feat, p), gtca_ref(feat, p), feat)
     out = conv2d_loop(attended, p.decode.values, 1, 0, 1) + folded
     return out.reshape(B, T, C, H, W).transpose(1, 0, 2, 3, 4)
 
 
 def dta_ref(spikes, txa_p, tna_p):
-    gate = (t_xa_ref(spikes, txa_p.tla_kernel.values, txa_p.cla_kernel.values,
-                     txa_p.p_t.values, txa_p.p_c.values)
-            * t_na_ref(spikes, tna_p))
-    return sigmoid_ref(gate) * spikes
+    a, b = t_xa_maps_ref(spikes, txa_p.tla_kernel.values, txa_p.cla_kernel.values,
+                         txa_p.p_t.values, txa_p.p_c.values)
+    return dta_gate_ref(spikes, a, b, t_na_ref(spikes, tna_p))

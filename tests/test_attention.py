@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from dtasnn import tensor as tz
-from dtasnn.attention import (TnaParams, TxaParams, dta, gtca, local_attention, ltca,
-                              smp, t_na, t_xa)
+from dtasnn.attention import (TnaParams, TxaParams, dta, dta_gate, gtca, local_attention,
+                              ltca, smp, t_na, t_xa, tna_product)
 from dtasnn.network import named_leaves
-from dtasnn.tensor import ComputationRecord, Tensor, backward, zero_grads
+from dtasnn.tensor import ComputationRecord, ShapeError, Tensor, backward, zero_grads
 
 import oracles
+import tapes
 
 
 def f64_params(time_steps, channels, rng, scale=0.3):
@@ -42,19 +43,19 @@ class TestSmp:
 
 class TestLocalAttention:
     def test_zero_kernel_adds_half_scale(self, rng):
-        xv = rng.standard_normal((2, 1, 3, 4, 4))
-        x = Tensor(xv, dtype=np.float64)
+        x = Tensor(rng.standard_normal((2, 1, 3, 4, 4)), dtype=np.float64)
         kernel = Tensor(np.zeros((3, 3, 3), dtype=np.float64))
         scale = Tensor(np.array([0.8]), dtype=np.float64)
-        out = local_attention(x, smp(x), kernel, scale, "t")
-        np.testing.assert_allclose(out.values, xv + 0.4, rtol=1e-12)
+        out = local_attention(smp(x), kernel, scale, "t")
+        assert out.shape == (2, 1, 3)
+        np.testing.assert_allclose(out.values, 0.4, rtol=1e-12)
 
     def test_zero_scale_is_identity(self, rng):
-        xv = rng.standard_normal((2, 2, 2, 3, 3))
-        x = Tensor(xv, dtype=np.float64)
+        # the map T-XA adds to the spikes is exactly zero
+        x = Tensor(rng.standard_normal((2, 2, 2, 3, 3)), dtype=np.float64)
         kernel = Tensor(rng.standard_normal((2, 2, 3)), dtype=np.float64)
-        out = local_attention(x, smp(x), kernel, Tensor(np.zeros(1), dtype=np.float64), "t")
-        np.testing.assert_array_equal(out.values, xv)
+        out = local_attention(smp(x), kernel, Tensor(np.zeros(1), dtype=np.float64), "t")
+        np.testing.assert_array_equal(out.values, 0.0)
 
     @pytest.mark.parametrize("target", ["t", "c"])
     def test_matches_composition_oracle(self, rng, target):
@@ -64,7 +65,7 @@ class TestLocalAttention:
         kernel = rng.standard_normal((kdim, kdim, 3))
         scale = np.array([0.6])
         x = Tensor(xv, dtype=np.float64)
-        got = local_attention(x, smp(x), Tensor(kernel, dtype=np.float64),
+        got = local_attention(smp(x), Tensor(kernel, dtype=np.float64),
                               Tensor(scale, dtype=np.float64), target).values
         want = oracles.local_attention_ref(xv, kernel, scale, target)
         np.testing.assert_allclose(got, want, atol=1e-6)
@@ -72,15 +73,19 @@ class TestLocalAttention:
     def test_bad_target_dim(self, rng):
         x = binary_spikes(rng, (2, 1, 2, 3, 3))
         with pytest.raises(ValueError):
-            local_attention(x, smp(x), Tensor(np.zeros((2, 2, 3))),
-                            Tensor(np.zeros(1)), "x")
+            local_attention(smp(x), Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros(1)), "x")
 
     def test_pooled_layout_mismatch_rejected(self, rng):
+        # the spikes themselves, not their (T, B, C) spatial mean
         x = binary_spikes(rng, (2, 1, 2, 3, 3))
-        bad_pool = Tensor(np.zeros((2, 1, 3)))
         with pytest.raises(Exception, match="pooled"):
-            local_attention(x, bad_pool, Tensor(np.zeros((2, 2, 3))),
-                            Tensor(np.zeros(1)), "t")
+            local_attention(x, Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros(1)), "t")
+
+
+def txa_of(x, p):
+    """T-XA in full from the engine's two maps, as the gate forms it on binary x."""
+    a, b = t_xa(x, p)
+    return oracles.t_xa_ref(x.values, a.values, b.values)
 
 
 class TestTxa:
@@ -91,7 +96,9 @@ class TestTxa:
         for t in (p.tla_kernel, p.cla_kernel):
             t.values[...] = 0.0
         x = binary_spikes(rng, (2, 2, 3, 4, 4))
-        np.testing.assert_array_equal(t_xa(x, p).values, x.values)
+        np.testing.assert_array_equal(txa_of(x, p), x.values)
+        gate = dta_gate(x, *t_xa(x, p), None).values
+        np.testing.assert_array_equal(gate, oracles.sigmoid_ref(x.values) * x.values)
 
     def test_zero_input_gives_quarter_scale_product(self, rng):
         p = TxaParams.init(2, 2, rng, dtype=np.float64)
@@ -99,20 +106,21 @@ class TestTxa:
         p.cla_kernel.values[...] = 0.0
         p.p_t.values[...] = 0.8
         p.p_c.values[...] = 0.5
-        out = t_xa(Tensor(np.zeros((2, 1, 2, 3, 3), dtype=np.float64)), p)
-        np.testing.assert_allclose(out.values, 0.25 * 0.8 * 0.5, rtol=1e-12)
+        a, b = t_xa(Tensor(np.zeros((2, 1, 2, 3, 3), dtype=np.float64)), p)
+        np.testing.assert_allclose(a.values * b.values, 0.25 * 0.8 * 0.5, rtol=1e-12)
 
     def test_shape_preserved(self, rng):
         p = TxaParams.init(4, 8, rng)
         x = binary_spikes(rng, (4, 2, 8, 6, 6), dtype=np.float32)
-        assert t_xa(x, p).shape == (4, 2, 8, 6, 6)
+        assert [m.shape for m in t_xa(x, p)] == [(4, 2, 8)] * 2
+        assert dta_gate(x, *t_xa(x, p), None).shape == (4, 2, 8, 6, 6)
 
     def test_matches_composition_oracle(self, rng):
         p, _ = f64_params(2, 2, rng)
         xv = rng.standard_normal((2, 1, 2, 3, 3))
-        got = t_xa(Tensor(xv, dtype=np.float64), p).values
-        want = oracles.t_xa_ref(xv, p.tla_kernel.values, p.cla_kernel.values,
-                                p.p_t.values, p.p_c.values)
+        got = txa_of(Tensor(xv, dtype=np.float64), p)
+        want = oracles.t_xa_ref(xv, *oracles.t_xa_maps_ref(
+            xv, p.tla_kernel.values, p.cla_kernel.values, p.p_t.values, p.p_c.values))
         np.testing.assert_allclose(got, want, atol=1e-6)
 
 
@@ -226,8 +234,8 @@ class TestDta:
         txa, tna = f64_params(2, 2, rng)
         spikes = binary_spikes(rng, (2, 1, 2, 4, 4))
         out = dta(spikes, txa if en_txa else None, tna if en_tna else None).values
-        branch = t_xa(spikes, txa) if en_txa else t_na(spikes, tna)
-        want = oracles.sigmoid_ref(branch.values) * spikes.values
+        branch = txa_of(spikes, txa) if en_txa else t_na(spikes, tna).values
+        want = oracles.sigmoid_ref(branch) * spikes.values
         np.testing.assert_allclose(out, want, rtol=1e-10)
 
     def test_matches_full_composition_oracle(self, rng):
@@ -240,7 +248,7 @@ class TestDta:
     def test_components_share_shape(self, rng):
         txa, tna = f64_params(2, 2, rng)
         spikes = binary_spikes(rng, (2, 1, 2, 4, 4))
-        o_txa = t_xa(spikes, txa)
+        o_txa = txa_of(spikes, txa)
         o_tna = t_na(spikes, tna)
         o_dta = dta(spikes, txa, tna)
         assert o_txa.shape == o_tna.shape == o_dta.shape == spikes.shape
@@ -261,3 +269,149 @@ class TestDta:
         for name, t in named:
             assert t.grad is not None, f"{name} missing grad"
             assert np.abs(t.grad).max() > 0.0, f"{name} has all-zero grad"
+
+
+def gate_inputs(rng, shape, dtype=np.float64):
+    """Binary spikes that track gradients, T-XA's two (T, B, C) maps and a T-NA output."""
+    spikes = Tensor((rng.random(shape) < 0.5).astype(dtype), requires_grad=True)
+    a, b = (Tensor(rng.standard_normal(shape[:3]) * 0.5, requires_grad=True, dtype=dtype)
+            for _ in range(2))
+    tna = Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+    return spikes, a, b, tna
+
+
+# which branches run: both, T-XA only, T-NA only
+GATE_MODES = {"both": (True, True), "txa": (True, False), "tna": (False, True)}
+
+
+class TestDtaGate:
+    @pytest.mark.parametrize("mode", GATE_MODES)
+    def test_matches_oracle_values_and_gradients(self, rng, mode):
+        # the oracle is defined for real-valued spikes, so its central
+        # differences give the spikes' gradient at the binary point too
+        with_txa, with_tna = GATE_MODES[mode]
+        spikes, a, b, tna = gate_inputs(rng, (2, 2, 3, 2, 2))
+        a, b = (a, b) if with_txa else (None, None)
+        tna = tna if with_tna else None
+        probe = rng.standard_normal(spikes.shape)
+        inputs = [t for t in (spikes, a, b, tna) if t is not None]
+        zero_grads(inputs)
+        with ComputationRecord():
+            out = dta_gate(spikes, a, b, tna)
+            backward(tz.tsum(out * Tensor(probe)))
+        values = {id(t): t.values for t in inputs}
+
+        def loss(t, v):
+            def at(u):
+                return None if u is None else (v if u is t else values[id(u)])
+            return float((probe * oracles.dta_gate_ref(at(spikes), at(a), at(b),
+                                                       at(tna))).sum())
+
+        want = oracles.dta_gate_ref(spikes.values, None if a is None else a.values,
+                                    None if b is None else b.values,
+                                    None if tna is None else tna.values)
+        np.testing.assert_allclose(out.values, want, rtol=1e-12, atol=1e-15)
+        for t in inputs:
+            np.testing.assert_allclose(t.grad, oracles.fd_grad(lambda v: loss(t, v), t.values),
+                                       rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("mode", GATE_MODES)
+    def test_forward_bits_equal_the_unfused_composition(self, rng, mode):
+        with_txa, with_tna = GATE_MODES[mode]
+        spikes, a, b, tna = gate_inputs(rng, (4, 2, 3, 5, 5), dtype=np.float32)
+        gate = None
+        if with_txa:
+            shape = a.shape + (1, 1)
+            gate = (spikes + tz.reshape(a, shape)) * (spikes + tz.reshape(b, shape))
+        if with_tna:
+            gate = tna if gate is None else gate * tna
+        want = tz.sigmoid(gate) * spikes
+        got = dta_gate(spikes, a if with_txa else None, b if with_txa else None,
+                       tna if with_tna else None)
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, 256.0, -0.0])
+    def test_non_binary_spikes_rejected(self, rng, value):
+        spikes, a, b, tna = gate_inputs(rng, (2, 1, 2, 3, 3))
+        spikes.values[1, 0, 1, 2, 0] = value
+        for args in [(a, b, tna), (None, None, None)]:
+            with pytest.raises(ValueError, match="binary"):
+                dta_gate(spikes, *args)
+
+    def test_branch_shapes_checked(self, rng):
+        spikes, a, b, tna = gate_inputs(rng, (2, 1, 2, 3, 3))
+        with pytest.raises(ShapeError, match="T-XA"):
+            dta_gate(spikes, a, Tensor(np.zeros((2, 1, 3))), None)
+        with pytest.raises(ShapeError, match="T-NA"):
+            dta_gate(spikes, None, None, Tensor(np.zeros((2, 1, 2, 3, 4))))
+
+    def test_node_keeps_bytes_for_spikes_and_no_full_size_txa(self, rng):
+        spikes, a, b, tna = gate_inputs(rng, (2, 2, 3, 4, 4), dtype=np.float32)
+        with ComputationRecord() as rec:
+            dta_gate(spikes, a, b, tna)
+            (node,) = rec.nodes
+        held = [v for v in tapes.closure_values(node.backward_fn) if isinstance(v, np.ndarray)]
+        assert not any(isinstance(v, Tensor) for v in tapes.closure_values(node.backward_fn))
+        full = [v for v in held if v.size == spikes.size]
+        assert sorted(v.dtype.name for v in full) == ["float32", "float32", "uint8"]
+        assert any(v is tna.values for v in full)
+        assert sum(v.nbytes for v in held) == 9 * spikes.size + 2 * a.values.nbytes
+
+
+class TestTnaProduct:
+    SHAPES = ((2, 3, 4, 5), (2, 3, 1, 1), (2, 3, 4, 5))
+
+    def test_matches_oracle_values_and_gradients(self, rng):
+        local, glob, feat = (Tensor(rng.standard_normal(s), requires_grad=True,
+                                    dtype=np.float64) for s in self.SHAPES)
+        probe = rng.standard_normal(feat.shape)
+        args = [local, glob, feat]
+        zero_grads(args)
+        with ComputationRecord():
+            out = tna_product(local, glob, feat)
+            backward(tz.tsum(out * Tensor(probe)))
+        values = [t.values.copy() for t in args]
+        np.testing.assert_allclose(out.values, oracles.tna_product_ref(*values), rtol=1e-12)
+        for i, t in enumerate(args):
+            def loss(v, i=i):
+                return float((probe * oracles.tna_product_ref(
+                    *(v if j == i else values[j] for j in range(3)))).sum())
+            np.testing.assert_allclose(t.grad, oracles.fd_grad(loss, values[i]),
+                                       rtol=1e-6, atol=1e-8)
+
+    def test_bits_equal_two_mul_nodes_and_node_keeps_only_its_operands(self, rng):
+        local, glob, feat = (Tensor(rng.standard_normal(s).astype(np.float32),
+                                    requires_grad=True) for s in self.SHAPES)
+        probe = Tensor(rng.standard_normal(feat.shape).astype(np.float32))
+        args = [local, glob, feat]
+        results = []
+        for fused in (True, False):
+            zero_grads(args)
+            with ComputationRecord() as rec:
+                out = tna_product(*args) if fused else local * glob * feat
+                if fused:
+                    held = [v for v in tapes.closure_values(rec.nodes[-1].backward_fn)
+                            if isinstance(v, np.ndarray)]
+                backward(tz.tsum(out * probe))
+            results.append([out.values.tobytes()] + [t.grad.tobytes() for t in args])
+        assert results[0] == results[1]
+        assert sorted(map(id, held)) == sorted(id(t.values) for t in args)
+
+    def test_shapes_checked(self, rng):
+        local, glob, feat = (Tensor(rng.standard_normal(s)) for s in self.SHAPES)
+        with pytest.raises(ShapeError, match="tna_product"):
+            tna_product(local, feat, feat)
+
+
+def test_dta_spike_gradient_matches_oracle(rng):
+    # the full block's gradient with respect to binary spikes, against
+    # central differences of the float64 composition oracle
+    txa, tna = f64_params(2, 2, rng)
+    spikes = Tensor((rng.random((2, 1, 2, 3, 3)) < 0.5).astype(np.float64), requires_grad=True)
+    probe = rng.standard_normal(spikes.shape)
+    zero_grads([spikes])
+    with ComputationRecord():
+        backward(tz.tsum(dta(spikes, txa, tna) * Tensor(probe)))
+    want = oracles.fd_grad(lambda v: float((probe * oracles.dta_ref(v, txa, tna)).sum()),
+                           spikes.values)
+    np.testing.assert_allclose(spikes.grad, want, rtol=1e-6, atol=1e-8)

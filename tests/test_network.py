@@ -236,10 +236,10 @@ class TestTapeNodes:
                 stages=((8, 1, 1), (16, 1, 2)), num_classes=2)
 
     @pytest.mark.parametrize("spec,nodes", [
-        (NetworkSpec(**DESK), 63),
+        (NetworkSpec(**DESK), 55),
         (NetworkSpec(**DESK, dta_enabled=(False, False)), 26),
         (NetworkSpec(time_steps=4, in_channels=3, stem_channels=16,
-                     stages=((32, 1, 1), (64, 1, 2)), num_classes=10), 64),
+                     stages=((32, 1, 1), (64, 1, 2)), num_classes=10), 56),
     ], ids=["desk", "desk-nodta", "cifar"])
     def test_training_step_records(self, rng, spec, nodes):
         net = build(spec, seed=0)

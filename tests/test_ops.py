@@ -312,6 +312,45 @@ class TestPointwise:
         assert sorted(floats) == sorted([(B, C, out.shape[2] * out.shape[3]), (cout, C)])
 
 
+class TestBinaryPacking:
+    """A binary input's phase grid or strided copy is kept as uint8, and any
+    other value keeps it float; either way the results are the loop
+    oracle's."""
+
+    # (input shape, weight shape, geometry): the general path at stride 1 and
+    # 2, and the point-wise path
+    GEOMETRIES = [
+        ((2, 3, 6, 6), (4, 3, 3, 3), dict(padding=1)),
+        ((2, 3, 7, 7), (4, 3, 3, 3), dict(stride=2, padding=1)),
+        ((2, 3, 5, 7), (4, 3, 1, 1), dict(stride=2)),
+    ]
+
+    @pytest.mark.parametrize("odd", [None, 0.5, 2.0, -1.0, 256.0])
+    @pytest.mark.parametrize("shape,wshape,kwargs", GEOMETRIES)
+    def test_packing_is_lossless(self, rng, shape, wshape, kwargs, odd):
+        xv = (rng.random(shape) < 0.5).astype(np.float64)
+        if odd is not None:
+            xv[1, 2, 2, 4] = odd  # a position the stride-2 copy keeps
+        wv = rng.standard_normal(wshape)
+        full = {"stride": 1, "padding": 0, "dilation": 1, **kwargs}
+        want = conv2d_loop(xv, wv, **full)
+        g = rng.standard_normal(want.shape)
+        x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
+        with ComputationRecord() as rec:
+            out = conv2d(x, w, **kwargs)
+            (node,) = rec.nodes
+            held = [c.cell_contents for c in node.backward_fn.__closure__]
+            (kept,) = [a for a in held if isinstance(a, np.ndarray) and a.size != wv.size]
+            backward(tz.tsum(out * Tensor(g)))
+        assert kept.dtype == (np.uint8 if odd is None else np.float64)
+        check_against_loop_grads(xv, wv, g, full, np.float64, True, out.values, want,
+                                 [x.grad, w.grad])
+
+    def test_nothing_packed_outside_a_record(self, rng):
+        x = Tensor((rng.random((2, 3, 6, 6)) < 0.5).astype(np.float32))
+        assert tz.pack(x.values) is x.values
+
+
 class TestConv2dErrors:
     def test_negative_output_extent_reported(self):
         x = Tensor(np.zeros((1, 1, 2, 2)))

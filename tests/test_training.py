@@ -50,17 +50,21 @@ def test_desk_step_keeps_every_gradient_float32():
     assert {n: d for n, d in dtypes.items() if d != np.float32} == {}
 
 
-@pytest.mark.parametrize("model", ["desk", "cifar"])
-def test_tape_keeps_only_what_a_backward_reads(monkeypatch, model):
-    # with the cyclic GC off, an output outlives the forward only if a
-    # backward closure names its memory or the caller holds it
+def one_step_inputs(model):
+    """A built network and one batch (input, labels) of the desk or cifar spec."""
     if model == "desk":
         cfg = load_config(DESK_CFG)
         spec, data, batch = cfg.network_spec(), cfg.synth_spec(0), cfg.batch_size
     else:
         spec, data, batch = CIFAR_NET, CIFAR_DATA, 4
-    net = build(spec, seed=0)
-    x, labels = stack_batch(gen_synthetic(data, batch))
+    return build(spec, seed=0), *stack_batch(gen_synthetic(data, batch))
+
+
+@pytest.mark.parametrize("model", ["desk", "cifar"])
+def test_tape_keeps_only_what_a_backward_reads(monkeypatch, model):
+    # with the cyclic GC off, an output outlives the forward only if a
+    # backward closure names its memory or the caller holds it
+    net, x, labels = one_step_inputs(model)
     outputs, holders = [], []
 
     def watch(out, backward_fn):
@@ -83,6 +87,22 @@ def test_tape_keeps_only_what_a_backward_reads(monkeypatch, model):
         gc.enable()
     assert stray == [] and holders == []
     assert len(outputs) > 40 and len(alive) < len(outputs)
+
+
+@pytest.mark.parametrize("model", ["desk", "cifar"])
+def test_tape_keeps_no_binary_float_array(model):
+    # spikes, the data batch and every copy or grid made of them are kept
+    # as bytes; parameters are not the tape's to pack
+    net, x, labels = one_step_inputs(model)
+    params = {id(tapes.owner(p.values)) for p in net.parameters()}
+    with ComputationRecord() as rec:
+        loss = cross_entropy(net.forward(x, training=True), labels)
+        kept = [a for a in tapes.tape_arrays(rec) if id(tapes.owner(a)) not in params]
+        backward(loss)
+    binary = [a.shape for a in kept
+              if a.dtype.kind == "f" and np.all((a == 0) | (a == 1))]
+    assert binary == []
+    assert any(a.dtype == np.uint8 and a.ndim == 4 for a in kept)
 
 
 def test_no_gradcheck_entry_keeps_a_tensor_in_its_backward(monkeypatch):
