@@ -22,7 +22,7 @@ FD_STEP = 1e-3
 CHECK_NAMES = ("add", "mul", "sigmoid", "gelu", "relu", "mean", "tsum", "reshape",
                "transpose", "conv2d", "conv2d_depthwise", "conv1d", "linear",
                "batch_norm_2d", "cross_entropy", "lif_unroll", "dta_block",
-               "conv2d_pointwise", "dta_gate", "tna_product")
+               "conv2d_pointwise", "dta_gate", "tna_product", "batch_norm_lif")
 
 
 def numerical_grad(f: Callable[[], Tensor], t: Tensor) -> np.ndarray:
@@ -318,5 +318,38 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
     probe_t = probe(2, 3, 3, 3)
     run("tna_product", 1e-3,
         lambda: tz.tsum(attention.tna_product(tl, tg, tf) * probe_t), [tl, tg, tf])
+
+    # batch norm fused with the spiking layer after it, in both modes. The
+    # oracle chains the two: the hand-differentiated recurrence gives the
+    # gradient at the batch-norm output, and central differences of batch
+    # norm alone carry it to x, gamma and beta.
+    xn = param(6, 2, 2, 3)  # T = 3 steps of B = 2, folded
+    gamma_n = param(2, scale=0.2)
+    gamma_n.values += 0.5
+    beta_n = param(2, scale=0.1)
+    beta_n.values += 0.8  # potentials land inside the surrogate support
+    probe_n = probe(6, 2, 2, 3)
+    fused_err = 0.0
+    for training in (True, False):
+        def state():
+            st = ops.BatchNormState(2, dtype=np.float64)
+            if not training:
+                st.running_mean[:] = (0.2, -0.1)
+                st.running_var[:] = (0.9, 1.4)
+                st.batches_tracked = 1
+            return st
+
+        bn_args = (xn, gamma_n, beta_n)
+        analytic = analytic_grads(lambda: tz.tsum(neuron.batch_norm_lif(
+            *bn_args, state(), training, lif_p, 3) * probe_n), bn_args)
+        y = ops.batch_norm_2d(*bn_args, state(), training).values
+        gy = Tensor(lif_input_grad_oracle(y.reshape(3, -1), lif_p,
+                                          probe_n.values.reshape(3, -1)).reshape(y.shape))
+        for p, a in zip(bn_args, analytic):
+            oracle = numerical_grad(
+                lambda: tz.tsum(ops.batch_norm_2d(*bn_args, state(), training) * gy), p)
+            fused_err = max(fused_err, max_relative_error(
+                -a if break_op == "batch_norm_lif" else a, oracle))
+    results.append(CheckResult("batch_norm_lif", fused_err, 1e-3))
 
     return results

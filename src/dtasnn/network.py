@@ -15,6 +15,12 @@ itself. Only the attention block, which mixes time and channels, sees
 (T, B, C, H, W), and only the per-step logits are unfolded, to be averaged
 over time.
 
+A batch norm whose output only a spiking layer reads (the stem's, and each
+block's first) runs fused with that layer through ``_spike_layer(..., bn=...)``
+as one tape node that keeps no membrane potentials
+(:func:`~dtasnn.neuron.batch_norm_lif`). A block's second batch norm feeds
+the residual add and stays its own node.
+
 Every layer is a dataclass, and ``named_leaves`` walks their fields: it is the
 one source of parameter names, of the optimizer's parameter order and of the
 checkpoint's run order (parameters, then batch-norm buffers, in walk order).
@@ -29,7 +35,7 @@ import numpy as np
 from . import container
 from . import tensor as tz
 from .attention import TnaParams, TxaParams, dta, uniform_fan_in
-from .neuron import LifParams, lif_unroll
+from .neuron import LifParams, batch_norm_lif, lif_unroll
 from .ops import BatchNormState, batch_norm_2d, conv2d, linear
 from .tensor import ShapeError, Tensor
 
@@ -134,10 +140,14 @@ class LinearLayer:
         return linear(x, self.weight, self.bias)
 
 
-def _spike_layer(x: Tensor, p: LifParams, steps: int) -> Tensor:
+def _spike_layer(x: Tensor, p: LifParams, steps: int, bn: BatchNorm2dLayer | None = None,
+                 training: bool = False) -> Tensor:
     """Run the spiking dynamics over the *steps* time steps stacked along the
-    leading axis of a (T*B, ...) tensor."""
-    return lif_unroll(x, p, steps)
+    leading axis of a (T*B, ...) tensor, after the batch norm *bn* when given
+    (one fused node, :func:`~dtasnn.neuron.batch_norm_lif`)."""
+    if bn is None:
+        return lif_unroll(x, p, steps)
+    return batch_norm_lif(x, bn.gamma, bn.beta, bn.state, training, p, steps)
 
 
 @dataclass(eq=False)
@@ -154,8 +164,9 @@ class MsBlock:
     steps: int
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        h = self.bn1(self.conv1(_spike_layer(x, self.lif, self.steps)), training)
-        h = self.bn2(self.conv2(_spike_layer(h, self.lif, self.steps)), training)
+        h = self.conv1(_spike_layer(x, self.lif, self.steps))
+        h = _spike_layer(h, self.lif, self.steps, bn=self.bn1, training=training)
+        h = self.bn2(self.conv2(h), training)
         identity = x if self.downsample is None else self.downsample(x)
         return h + identity
 
@@ -182,13 +193,16 @@ class Network:
                 f"input {x.shape} does not match spec (T={spec.time_steps}, "
                 f"Cin={spec.in_channels})")
         t, b = x.shape[0], x.shape[1]
-        h = self.stem_bn(self.stem_conv(tz.reshape(x, (t * b,) + x.shape[2:])), training)
-        spikes = _spike_layer(h, spec.lif, t)                     # (T*B, C, H, W)
-        a = dta(tz.reshape(spikes, (t, b) + spikes.shape[1:]), self.txa, self.tna)
-        a = tz.reshape(a, spikes.shape)
+        # one name, rebound at each stage, so no activation that no backward
+        # reads (the stem conv's output, the stem's float spikes, which the
+        # gate keeps as bytes) stays alive to the end of the forward
+        h = self.stem_conv(tz.reshape(x, (t * b,) + x.shape[2:]))
+        h = _spike_layer(h, spec.lif, t, bn=self.stem_bn, training=training)
+        folded = h.shape                                            # (T*B, C, H, W)
+        h = tz.reshape(dta(tz.reshape(h, (t, b) + folded[1:]), self.txa, self.tna), folded)
         for block in self.blocks:
-            a = block(a, training)
-        pooled = tz.mean(_spike_layer(a, spec.lif, t), axes=(2, 3))  # (T*B, C)
+            h = block(h, training)
+        pooled = tz.mean(_spike_layer(h, spec.lif, t), axes=(2, 3))  # (T*B, C)
         logits_steps = tz.reshape(self.head(pooled), (t, b, spec.num_classes))
         return tz.mean(logits_steps, axes=(0,))
 

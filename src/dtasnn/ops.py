@@ -12,8 +12,14 @@ depth-wise kernel is the Toeplitz lowering of Chellapilla et al. ("High
 Performance Convolutional Neural Networks for Document Processing", 2006)
 applied per channel: each kernel row is a banded matrix along the width, and
 one batched matmul per kernel row applies it to every in-image input row.
+Its backward rebuilds the bands from the weights rather than keep them.
 Every kernel visits its taps or rows in a fixed order, so results are
 deterministic for a fixed BLAS thread count.
+
+Batch norm's float math lives in raw-array helpers
+(:func:`batch_norm_forward`, :func:`batch_norm_affine`,
+:func:`batch_norm_backward`), shared by :func:`batch_norm_2d`'s node and by
+the fused batch-norm and spiking node of :mod:`dtasnn.neuron`.
 """
 
 from __future__ import annotations
@@ -115,8 +121,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     matmul per kernel row, ``out[:, ro] += x[:, ri] @ band[:, u]``. The
     backward uses the same matrices: ``gx[:, ri] += g[:, ro] @ band[:, u].T``,
     and the weight gradient is the band entries of ``x[:, ri].T @ g[:, ro]``.
-    It builds no padded copy; its node keeps the input, the weights and the
-    band matrices, and re-lays the input in the backward.
+    It builds no padded copy. Its node keeps only the input and the weights:
+    the backward re-lays the input and builds the transposed bands from the
+    weights with the forward's scatter.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weight, got {x.shape} and {w.shape}")
@@ -183,9 +190,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             # band entries of the per-channel x.T @ g over each row's (h, b)
             x_r, g_r = _rows_first(xv), _rows_first(g)
             gx_r = np.zeros_like(x_r)
-            # contiguous band transposes: a transposed matmul operand costs
-            # more than this copy
-            band_t = np.ascontiguousarray(band.transpose(0, 1, 3, 2))
+            # the transposed bands, contiguous, by the forward's scatter: a
+            # transposed matmul operand costs more than building them
+            band_t = np.zeros((C, kh, Wo, W), dtype=xv.dtype)
+            band_t[:, :, wo, wi] = wv[:, 0][:, :, v]
             x_g = np.zeros((C, kh, W, Wo), dtype=xv.dtype)
             for u, (ro, ri, nr) in rows:
                 g_rows = row_block(g_r, ro, nr)
@@ -317,32 +325,27 @@ class BatchNormState:
         self.running_var = np.ones(self.num_features, dtype=self.dtype)
 
 
-def batch_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                  training: bool) -> Tensor:
-    """Per-channel normalization of (N, C, H, W) over the (N, H, W) axes.
+def batch_norm_forward(xv: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                       state: BatchNormState, training: bool):
+    """Batch norm of the raw (N, C, H, W) array *xv*: ``(out, d, scale, inv)``.
 
-    Training mode normalizes with batch statistics (biased variance) and
-    updates *state* in place; eval mode applies the stored statistics.
-
-    The forward forms the deviation ``d = x - mean`` once, takes the batch
-    variance as each channel's dot product of ``d`` with itself, and applies
-    ``gamma / sqrt(var + eps)`` as one scale. The node keeps ``d`` in place of
-    x-hat. Its backward is the closed form of Ioffe & Szegedy's (2015) chain
-    rule, from two per-channel reductions, ``sum(g)`` and ``sum(g * d)``.
+    ``d = xv - mean`` is the deviation, ``inv = 1 / sqrt(var + eps)`` and
+    ``scale = gamma * inv``; ``out`` is :func:`batch_norm_affine` of them, in
+    *xv*'s dtype. Training mode takes the batch statistics and updates
+    *state* in place; eval mode reads *state*, or raises
+    :class:`MissingStatisticsError` before any batch was tracked.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"batch_norm_2d expects 4-D input, got {x.shape}")
-    N, C, H, W = x.shape
+    if xv.ndim != 4:
+        raise ShapeError(f"batch_norm_2d expects 4-D input, got {xv.shape}")
+    N, C, H, W = xv.shape
     if C != state.num_features:
         raise ShapeError(f"batch_norm_2d input has {C} channels, state tracks {state.num_features}")
-    n = N * H * W
-    xv = x.values
 
     if training:
         mu = xv.mean(axis=(0, 2, 3))
         d = xv - mu[:, None, None]
         dc = d.reshape(N, C, H * W)
-        var = np.einsum("ncs,ncs->c", dc, dc) / n
+        var = np.einsum("ncs,ncs->c", dc, dc) / (N * H * W)
         m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1.0 - m) * mu).astype(state.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var).astype(state.dtype)
@@ -355,21 +358,58 @@ def batch_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         mu, var = state.running_mean, state.running_var
         d = xv - mu[:, None, None]
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    scale = gamma.values * inv
+    scale = gamma * inv
+    return batch_norm_affine(d, scale, beta, xv.dtype), d, scale, inv
+
+
+def batch_norm_affine(d: np.ndarray, scale: np.ndarray, beta: np.ndarray,
+                      dtype) -> np.ndarray:
+    """``d * scale + beta`` per channel, in *dtype*: batch norm's output from
+    its kept deviation, with the forward's float ops."""
     out = d * scale[:, None, None]
-    out += beta.values[:, None, None]
+    out += beta[:, None, None]
+    return out.astype(dtype, copy=False)
+
+
+def batch_norm_backward(g: np.ndarray, d: np.ndarray, scale: np.ndarray,
+                        inv: np.ndarray, training: bool):
+    """Gradients ``(gx, ggamma, gbeta)`` of batch norm from the upstream *g*
+    and the forward's ``d``, ``scale`` and ``inv``."""
+    N, C, H, W = d.shape
+    n = N * H * W
+    gc = g.reshape(N, C, H * W)
+    sum_g = gc.sum(axis=(0, 2))
+    sum_gd = np.einsum("ncs,ncs->c", gc, d.reshape(N, C, H * W))
+    gx = g * scale[:, None, None]
+    if training:
+        # the batch statistics depend on x: take out the gradient through
+        # the variance, gamma * inv^3 * sum(g * d) / n per unit of d, and
+        # through the mean, gamma * inv * sum(g) / n
+        gx -= d * (scale * inv * inv * sum_gd / n)[:, None, None]
+        gx -= (scale * sum_g / n)[:, None, None]
+    return gx, inv * sum_gd, sum_g
+
+
+def batch_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+                  training: bool) -> Tensor:
+    """Per-channel normalization of (N, C, H, W) over the (N, H, W) axes.
+
+    Training mode normalizes with batch statistics (biased variance) and
+    updates *state* in place; eval mode applies the stored statistics.
+
+    The forward (:func:`batch_norm_forward`) forms the deviation
+    ``d = x - mean`` once, takes the batch variance as each channel's dot
+    product of ``d`` with itself, and applies ``gamma / sqrt(var + eps)`` as
+    one scale. The node keeps ``d`` in place of x-hat. Its backward
+    (:func:`batch_norm_backward`) is the closed form of Ioffe & Szegedy's
+    (2015) chain rule, from two per-channel reductions, ``sum(g)`` and
+    ``sum(g * d)``. :func:`~dtasnn.neuron.batch_norm_lif` runs the same two
+    helpers around a spiking layer.
+    """
+    out, d, scale, inv = batch_norm_forward(x.values, gamma.values, beta.values,
+                                            state, training)
 
     def bwd(g):
-        gc = g.reshape(N, C, H * W)
-        sum_g = gc.sum(axis=(0, 2))
-        sum_gd = np.einsum("ncs,ncs->c", gc, d.reshape(N, C, H * W))
-        gx = g * scale[:, None, None]
-        if training:
-            # the batch statistics depend on x: take out the gradient through
-            # the variance, gamma * inv^3 * sum(g * d) / n per unit of d, and
-            # through the mean, gamma * inv * sum(g) / n
-            gx -= d * (scale * inv * inv * sum_gd / n)[:, None, None]
-            gx -= (scale * sum_g / n)[:, None, None]
-        return gx, inv * sum_gd, sum_g
+        return batch_norm_backward(g, d, scale, inv, training)
 
-    return apply_primitive((x, gamma, beta), out.astype(xv.dtype, copy=False), bwd)
+    return apply_primitive((x, gamma, beta), out, bwd)

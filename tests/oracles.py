@@ -202,6 +202,22 @@ def lif_bptt_ref(u, g, p):
     return du
 
 
+def batch_norm_lif_ref(x, gamma, beta, running_mean, running_var, training, p, steps, g):
+    """Batch norm, then the spiking layer over the *steps* time steps folded
+    into axis 0, in float64: ``(spikes, running_mean, running_var, grads)``,
+    where *grads* are the gradients of ``sum(g * spikes)`` w.r.t. x, gamma
+    and beta. Composed from ``batch_norm_ref``, ``lif_forward_ref``,
+    ``lif_bptt_ref`` and ``batch_norm_grads_ref``.
+    """
+    y, new_mean, new_var = batch_norm_ref(x, gamma, beta, running_mean, running_var,
+                                          training)
+    us, ss = lif_forward_ref(list(y.reshape(steps, -1)), p.tau, p.v_th)
+    gy = lif_bptt_ref(np.stack(us), np.asarray(g, dtype=np.float64).reshape(steps, -1), p)
+    grads = batch_norm_grads_ref(x, gamma, gy.reshape(y.shape), running_mean, running_var,
+                                 training)
+    return np.stack(ss).reshape(y.shape), new_mean, new_var, grads
+
+
 def smp_loop(x):
     """Plain-loop spatial mean of (T, B, C, H, W)."""
     T, B, C, H, W = x.shape

@@ -3,7 +3,8 @@
 A node keeps its output's gradient slot, the routes of its inputs and its
 backward closure, so the arrays a tape keeps are the arrays its backward
 closures name. These helpers list them, compare arrays by the memory they
-own, and watch every primitive's output as it is recorded.
+own, count the bytes a tape holds, and watch every primitive's output as it
+is recorded.
 """
 
 import numpy as np
@@ -42,6 +43,15 @@ def owner(arr: np.ndarray) -> np.ndarray:
     while isinstance(arr.base, np.ndarray):
         arr = arr.base
     return arr
+
+
+def tape_bytes(rec, params) -> int:
+    """Bytes of the distinct arrays that own the memory the backward
+    closures of *rec*'s nodes name, the arrays of *params* excluded: what
+    the tape holds beyond the network's own parameters."""
+    skip = {id(owner(p.values)) for p in params}
+    owners = {id(o): o for o in map(owner, tape_arrays(rec)) if id(o) not in skip}
+    return sum(o.nbytes for o in owners.values())
 
 
 def watch_outputs(monkeypatch, hook) -> None:

@@ -326,7 +326,7 @@ class TestGradcheckCommand:
 
     def test_fault_injection_fails(self, capsys):
         for op in ("conv2d", "conv2d_depthwise", "conv2d_pointwise", "lif_unroll",
-                   "cross_entropy", "batch_norm_2d", "tsum"):
+                   "cross_entropy", "batch_norm_2d", "tsum", "batch_norm_lif"):
             assert main(["gradcheck", "--break", op]) == 1
             failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                       if line.endswith("FAIL")]

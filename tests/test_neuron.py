@@ -1,6 +1,8 @@
 """Spiking dynamics: hand traces, surrogate shape, and the fused multi-step
 primitive against the forward oracle and the hand-derived BPTT reference."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -8,11 +10,13 @@ from scipy.integrate import trapezoid
 from dtasnn import gradcheck, neuron
 from dtasnn import tensor as tz
 from dtasnn.gradcheck import lif_input_grad_oracle
-from dtasnn.network import _spike_layer
-from dtasnn.neuron import LifParams, lif_forward, lif_unroll, surrogate_values
+from dtasnn.network import BatchNorm2dLayer, _spike_layer
+from dtasnn.neuron import (LifParams, batch_norm_lif, lif_forward, lif_unroll,
+                           surrogate_values)
+from dtasnn.ops import BatchNormState, MissingStatisticsError, batch_norm_2d
 from dtasnn.tensor import ComputationRecord, ShapeError, Tensor, backward, zero_grads
 
-from oracles import lif_bptt_ref, lif_forward_ref
+from oracles import batch_norm_lif_ref, lif_bptt_ref, lif_forward_ref
 from tapes import closure_values, owner
 
 
@@ -269,3 +273,122 @@ def test_gradcheck_entry_runs_fused_primitive(monkeypatch):
     assert results["lif_unroll"].passed
     broken = {r.name: r for r in gradcheck.run_suite(break_op="lif_unroll")}
     assert not broken["lif_unroll"].passed
+
+
+class TestBatchNormLif:
+    """Batch norm and the spiking layer after it as one node: the bits of the
+    two-node composition, from a tape that keeps no potentials."""
+
+    STEPS = 3
+
+    @classmethod
+    def inputs(cls, rng, dtype, training):
+        # (T*B, C, H, W) with T = 3, B = 2; gamma and beta put the normalized
+        # currents near the threshold, so spikes, resets and surrogate
+        # gradients all occur
+        x = (rng.standard_normal((cls.STEPS * 2, 3, 4, 5)) * 1.5 + 0.4).astype(dtype)
+        gamma = (0.6 + 0.2 * rng.standard_normal(3)).astype(dtype)
+        beta = (0.8 + 0.1 * rng.standard_normal(3)).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        st = BatchNormState(3, dtype=dtype)
+        if not training:  # stored statistics unlike the batch's
+            st.running_mean[:] = (0.3, 0.5, 0.2)
+            st.running_var[:] = (2.0, 1.7, 2.5)
+            st.batches_tracked = 1
+        return x, gamma, beta, g, st
+
+    @staticmethod
+    def run(fn, x, gamma, beta, g):
+        """Output and the (x, gamma, beta) gradients of ``sum(g * fn(...))``."""
+        params = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        with ComputationRecord():
+            out = fn(*params)
+            backward(tz.tsum(out * Tensor(g)))
+        return out.values, [p.grad for p in params]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("detached", [False, True])
+    def test_bits_equal_two_node_composition(self, rng, dtype, training, detached):
+        p = LifParams(tau=0.5, v_th=1.0, alpha=1.0, reset_detached=detached)
+        x, gamma, beta, g, st = self.inputs(rng, dtype, training)
+        st2 = copy.deepcopy(st)
+        fused, fused_grads = self.run(
+            lambda *a: batch_norm_lif(*a, st, training, p, self.STEPS), x, gamma, beta, g)
+        two, two_grads = self.run(
+            lambda *a: lif_unroll(batch_norm_2d(*a, st2, training), p, self.STEPS),
+            x, gamma, beta, g)
+        assert fused.dtype == dtype and 0.0 < fused.mean() < 1.0
+        assert fused.tobytes() == two.tobytes()
+        for a, b in zip(fused_grads, two_grads):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+        assert np.abs(fused_grads[0]).max() > 0.0
+        for a, b in ((st.running_mean, st2.running_mean), (st.running_var, st2.running_var)):
+            assert a.tobytes() == b.tobytes()
+        assert st.batches_tracked == st2.batches_tracked == 1  # one update per training call
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("detached", [False, True])
+    def test_matches_float64_oracle(self, rng, training, detached):
+        p = LifParams(tau=0.5, v_th=1.0, alpha=1.0, reset_detached=detached)
+        x, gamma, beta, g, st = self.inputs(rng, np.float64, training)
+        want, want_mean, want_var, want_grads = batch_norm_lif_ref(
+            x, gamma, beta, st.running_mean, st.running_var, training, p, self.STEPS, g)
+        got, grads = self.run(
+            lambda *a: batch_norm_lif(*a, st, training, p, self.STEPS), x, gamma, beta, g)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(st.running_mean, want_mean, rtol=1e-12)
+        np.testing.assert_allclose(st.running_var, want_var, rtol=1e-12)
+        for a, b in zip(grads, want_grads):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_node_keeps_one_full_size_array_and_no_potentials(self, rng, training):
+        x, gamma, beta, _, st = self.inputs(rng, np.float32, training)
+        xt = Tensor(x, requires_grad=True)
+        gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+        with ComputationRecord() as rec:
+            out = batch_norm_lif(xt, gt, bt, st, training, LifParams(), self.STEPS)
+            (node,) = rec.nodes
+        assert node.inputs == (xt, gt, bt)
+        held = closure_values(node.backward_fn)
+        assert not any(isinstance(v, Tensor) for v in held)
+        floats = [v for v in held if isinstance(v, np.ndarray) and v.dtype.kind == "f"]
+        full = [v for v in floats if v.size == x.size]
+        # the deviation d alone: not the input, not the spikes, no (T, ...)
+        # potentials
+        assert len(full) == 1 and full[0].shape == x.shape
+        assert owner(full[0]) is not owner(x) and owner(full[0]) is not owner(out.values)
+        assert not any(v.ndim and v.shape[0] == self.STEPS and v.size >= x.size // 2
+                       for v in floats)
+        assert sum(v.size for v in floats if v.size != x.size) <= 3 * 3
+
+    def test_eval_before_statistics_raises_batch_norms_error(self):
+        x = Tensor(np.zeros((2, 2, 2, 2), dtype=np.float32))
+        gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
+        with pytest.raises(MissingStatisticsError) as bn_err:
+            batch_norm_2d(x, gamma, beta, BatchNormState(2), training=False)
+        with pytest.raises(MissingStatisticsError) as fused_err:
+            batch_norm_lif(x, gamma, beta, BatchNormState(2), False, LifParams(), 2)
+        assert str(fused_err.value) == str(bn_err.value)
+
+    @pytest.mark.parametrize("rows,steps", [(5, 2), (2, 3), (4, 0)])
+    def test_leading_axis_must_split_into_steps(self, rows, steps):
+        x = Tensor(np.zeros((rows, 2, 2, 2), dtype=np.float32))
+        st = BatchNormState(2)
+        with pytest.raises(ShapeError):
+            batch_norm_lif(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), st, True,
+                           LifParams(), steps)
+        assert st.batches_tracked == 0  # refused before the statistics move
+
+    def test_spike_layer_with_batch_norm_records_the_fused_node(self, rng):
+        x, gamma, beta, _, st = self.inputs(rng, np.float32, True)
+        bn = BatchNorm2dLayer(Tensor(gamma, requires_grad=True),
+                              Tensor(beta, requires_grad=True), st)
+        xt = Tensor(x, requires_grad=True)
+        with ComputationRecord() as rec:
+            out = _spike_layer(xt, LifParams(), self.STEPS, bn=bn, training=True)
+            (node,) = rec.nodes
+        assert node.slot is out.slot and node.inputs == (xt, bn.gamma, bn.beta)
+        assert st.batches_tracked == 1

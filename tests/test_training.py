@@ -90,6 +90,30 @@ def test_tape_keeps_only_what_a_backward_reads(monkeypatch, model):
 
 
 @pytest.mark.parametrize("model", ["desk", "cifar"])
+def test_forward_frees_stem_activations_before_the_head(monkeypatch, model):
+    # no backward reads the stem conv's output or the stem's float spikes (the
+    # gate keeps them as bytes), so neither may live on to the head
+    net, x, labels = one_step_inputs(model)
+    first, alive_at_head = {}, {}
+
+    def watch(out, backward_fn):
+        name = backward_fn.__qualname__.split(".")[0]
+        if name == "linear":
+            alive_at_head.update({n: ref() is not None for n, ref in first.items()})
+        if name in ("conv2d", "batch_norm_lif"):
+            first.setdefault(name, weakref.ref(out.values))
+
+    tapes.watch_outputs(monkeypatch, watch)
+    gc.disable()
+    try:
+        with ComputationRecord():
+            backward(cross_entropy(net.forward(x, training=True), labels))
+    finally:
+        gc.enable()
+    assert alive_at_head == {"conv2d": False, "batch_norm_lif": False}
+
+
+@pytest.mark.parametrize("model", ["desk", "cifar"])
 def test_tape_keeps_no_binary_float_array(model):
     # spikes, the data batch and every copy or grid made of them are kept
     # as bytes; parameters are not the tape's to pack
@@ -103,6 +127,19 @@ def test_tape_keeps_no_binary_float_array(model):
               if a.dtype.kind == "f" and np.all((a == 0) | (a == 1))]
     assert binary == []
     assert any(a.dtype == np.uint8 and a.ndim == 4 for a in kept)
+
+
+# tape bytes of one training step, parameters excluded: the fused batch-norm
+# and spiking nodes keep no potentials, and depth-wise convs no band matrices
+# (before them: 16326024 and 6025328)
+@pytest.mark.parametrize("model,limit", [("desk", 14212464), ("cifar", 4583512)])
+def test_step_tape_bytes_pinned(model, limit):
+    net, x, labels = one_step_inputs(model)
+    with ComputationRecord() as rec:
+        loss = cross_entropy(net.forward(x, training=True), labels)
+        held = tapes.tape_bytes(rec, net.parameters())
+        backward(loss)
+    assert held <= limit
 
 
 def test_no_gradcheck_entry_keeps_a_tensor_in_its_backward(monkeypatch):
