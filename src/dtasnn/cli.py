@@ -1,4 +1,4 @@
-"""Command-line entry point: train, eval, gradcheck, ablate, synth-data.
+"""Command-line entry point: train, eval, gradcheck, ablate.
 
 Exit codes: 0 success, 1 gradcheck tolerance breach, 2 configuration or
 format error, 3 numeric abort during training. Metrics are emitted as JSON
@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .data import FormatError, Sample, augment, direct_code, gen_synthetic, load_cifar10_binary, load_idx, save_synthetic
+from .data import FormatError, Sample, augment, direct_code, gen_synthetic, load_cifar10_binary, load_idx
 from .gradcheck import CHECK_NAMES, run_suite
 from .network import CheckpointError, build, load_checkpoint, spec_mismatch
 from .ops import MissingStatisticsError
@@ -189,19 +189,6 @@ def cmd_ablate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_synth_data(cfg: RunConfig) -> int:
-    spec = cfg.synth_spec(0)
-    samples = gen_synthetic(spec, cfg.train_samples)
-    if not samples:  # whatever dataset names, synth-data makes the synthetic task
-        raise ConfigError(f"synth-data needs train_samples >= 1, got {cfg.train_samples}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "synthetic.dtasnn")
-    save_synthetic(path, spec, samples)
-    print(f"wrote {len(samples)} samples "
-          f"({spec.time_steps}x{spec.channels}x{spec.height}x{spec.width}) to {path}")
-    return 0
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="path to a key = value config file")
     p.add_argument("--out", default=None, help="output directory")
@@ -224,7 +211,7 @@ def _collect_overrides(args, extras) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="dtasnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "eval", "gradcheck", "ablate", "synth-data"):
+    for name in ("train", "eval", "gradcheck", "ablate"):
         p = sub.add_parser(name)
         _add_common(p)
         if name == "eval":
@@ -244,8 +231,6 @@ def main(argv=None) -> int:
             return cmd_gradcheck(cfg, args.break_op)
         if args.command == "ablate":
             return cmd_ablate(cfg)
-        if args.command == "synth-data":
-            return cmd_synth_data(cfg)
     except NumericsError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 3

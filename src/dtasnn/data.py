@@ -3,7 +3,8 @@
 Three sources feed the engine: the canonical CIFAR-10 binary batches, IDX
 image/label pairs (MNIST layout), and a seeded synthetic generator whose
 classes differ only in *which* time steps fire, so that a model must use
-temporal structure to separate them. Static images are replicated across time
+temporal structure to separate them. The synthetic task is never stored: its
+spec and seed rebuild it exactly. Static images are replicated across time
 steps (direct coding) before entering the network.
 """
 
@@ -12,11 +13,9 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
-
-from . import container
 
 # community-standard CIFAR-10 channel statistics
 CIFAR10_MEAN = np.array([0.4914, 0.4822, 0.4465], dtype=np.float32)
@@ -63,8 +62,6 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("classes", "time_steps", "channels", "height", "width", "seed"):
-            container.require_int(name, getattr(self, name))
         for name in ("time_steps", "channels", "height", "width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -79,7 +76,6 @@ class SynthSpec:
             raise ValueError("one signature per class required")
         for sig in self.temporal_signature:
             for t in sig:
-                container.require_int("signature step", t)
                 if not 0 <= t < self.time_steps:
                     raise ValueError(f"signature step {t} outside [0, {self.time_steps})")
 
@@ -226,29 +222,3 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     labels = np.frombuffer(lab, dtype=np.uint8).astype(np.int64)
     return images, labels
 
-
-# ---------------------------------------------------------------------------
-# synthetic fixtures: the spec plus a sample count as the container header,
-# then one run of all inputs and one of all labels
-
-
-def save_synthetic(path, spec: SynthSpec, samples: list[Sample]) -> None:
-    container.write(path, {**asdict(spec), "count": len(samples)},
-                    (np.stack([s.input for s in samples]),
-                     np.array([s.label for s in samples])))
-
-
-def load_synthetic(path) -> tuple[SynthSpec, list[Sample]]:
-    header, runs = container.read(path, FormatError)
-    spec = container.decode(SynthSpec, header, FormatError)
-    count = header.get("count")
-    container.require_int("count", count, FormatError)
-    shape = (count, spec.time_steps, spec.channels, spec.height, spec.width)
-    got, sizes = [r.size for r in runs], [math.prod(shape), count]
-    if got != sizes:
-        raise FormatError(f"{path}: runs of {got} values, expected {sizes}")
-    inputs = runs[0].reshape(shape).astype(np.float32)
-    labels = runs[1].astype(np.int64)
-    samples = [Sample(input=np.ascontiguousarray(inputs[i]), label=int(labels[i]))
-               for i in range(count)]
-    return spec, samples

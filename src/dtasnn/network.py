@@ -35,13 +35,10 @@ import numpy as np
 from . import container
 from . import tensor as tz
 from .attention import TnaParams, TxaParams, dta, uniform_fan_in
+from .container import CheckpointError
 from .neuron import LifParams, batch_norm_lif, lif_unroll
 from .ops import BatchNormState, batch_norm_2d, conv2d, linear
 from .tensor import ShapeError, Tensor
-
-
-class CheckpointError(ValueError):
-    """Corrupt or incompatible checkpoint container."""
 
 
 @dataclass(frozen=True)
@@ -268,8 +265,8 @@ def save_checkpoint(path, net: Network) -> None:
 
 def load_checkpoint(path) -> Network:
     """The network of the checkpoint at *path*, or ``CheckpointError`` for any fault in it."""
-    header, runs = container.read(path, CheckpointError)
-    net = build(container.decode(NetworkSpec, header, CheckpointError), seed=0)
+    header, runs = container.read(path)
+    net = build(container.decode(NetworkSpec, header), seed=0)
     got, sizes = [r.size for r in runs], [a.size for a in net.state_arrays()]
     if got != sizes:
         raise CheckpointError(f"{path}: tensor runs of {got} elements, expected {sizes}")

@@ -13,9 +13,8 @@ import pytest
 
 from dtasnn import cli, container
 from dtasnn.cli import main
-from dtasnn.data import load_synthetic
 from dtasnn.gradcheck import CHECK_NAMES
-from dtasnn.network import CheckpointError, load_checkpoint
+from dtasnn.network import load_checkpoint
 from dtasnn.tensor import Tensor
 
 FAST = ["--batch_size", "16", "--epochs", "2", "--time_steps", "4",
@@ -103,8 +102,8 @@ class TestTrainCommand:
         ("train", ["--momentum", "1"], "momentum"),
         ("train", ["--weight_decay", "-1"], "weight_decay"),
         ("train", ["--clip", "-1"], "clip"),
-        ("synth-data", ["--train_samples", "0"], "train_samples"),
-        ("synth-data", ["--dataset", "cifar10", "--train_samples", "0"], "train_samples"),
+        ("train", ["--synth_height", "0"], "height"),
+        ("train", ["--rate_off", "0.95"], "rate_off"),
         ("train", ["--stages", "8:1:3"], "stages"),
         ("train", ["--tau", "2.0"], "tau"),
         ("train", ["--stem_channels", "0"], "stem_channels"),
@@ -144,11 +143,10 @@ class TestTrainCommand:
         assert "train-images-idx3-ubyte" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["train", "synth-data"])
-    def test_output_directory_under_a_file_exit_2(self, tmp_path, capsys, command):
+    def test_output_directory_under_a_file_exit_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        code = main([command, "--out", str(blocker / "x")] + FAST)
+        code = main(["train", "--out", str(blocker / "x")] + FAST)
         assert code == 2
         err = capsys.readouterr().err
         assert str(blocker / "x") in err
@@ -279,7 +277,7 @@ class TestEvalCommand:
         # 4.7 would truncate to the configured T=4 and evaluate as that network
         _, out = run_fast_train(tmp_path, ["--epochs", "1"])
         ckpt = os.path.join(out, "checkpoint.dtasnn")
-        header, runs = container.read(ckpt, CheckpointError)
+        header, runs = container.read(ckpt)
         container.write(ckpt, {**header, "time_steps": 4.7}, runs)
         capsys.readouterr()
         assert main(["eval", "--checkpoint", ckpt, "--seed", "1"] + FAST) == 2
@@ -303,11 +301,12 @@ class TestEvalCommand:
         assert "none.dtasnn" in capsys.readouterr().err
 
     def test_fixture_as_checkpoint_exit_2(self, tmp_path, capsys):
-        out = str(tmp_path / "fixtures")
-        assert main(["synth-data", "--out", out] + FAST) == 0
-        fixture = os.path.join(out, "synthetic.dtasnn")
-        assert main(["eval", "--checkpoint", fixture] + FAST) == 2
-        assert "in_channels" in capsys.readouterr().err
+        # a CRC-valid container whose header is some other spec's
+        other = str(tmp_path / "other.dtasnn")
+        container.write(other, {"classes": 2, "time_steps": 4}, [np.zeros((32, 4))])
+        assert main(["eval", "--checkpoint", other] + FAST) == 2
+        err = capsys.readouterr().err
+        assert "in_channels" in err and "Traceback" not in err
 
     def test_spec_mismatch_names_field(self, tmp_path, capsys):
         _, out = run_fast_train(tmp_path, ["--epochs", "0"])
@@ -324,13 +323,12 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "conv2d" in out and "FAIL" not in out
 
-    def test_fault_injection_fails(self, capsys):
-        for op in ("conv2d", "conv2d_depthwise", "conv2d_pointwise", "lif_unroll",
-                   "cross_entropy", "batch_norm_2d", "tsum", "batch_norm_lif"):
-            assert main(["gradcheck", "--break", op]) == 1
-            failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
-                      if line.endswith("FAIL")]
-            assert failed == [op]
+    @pytest.mark.parametrize("op", CHECK_NAMES)
+    def test_fault_injection_fails(self, capsys, op):
+        assert main(["gradcheck", "--break", op]) == 1
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if line.endswith("FAIL")]
+        assert failed == [op]
 
     def test_forward_error_mirrored_by_backward_fails(self, capsys, monkeypatch):
         # doubling the weight through the tape keeps every gradient consistent
@@ -375,24 +373,6 @@ class TestGradcheckCommand:
         assert names == list(CHECK_NAMES)
 
 
-class TestSynthDataCommand:
-    def test_writes_loadable_fixture(self, tmp_path, capsys):
-        out = str(tmp_path / "fixtures")
-        code = main(["synth-data", "--out", out, "--train_samples", "10",
-                     "--num_classes", "2", "--in_channels", "2",
-                     "--time_steps", "4", "--synth_height", "5", "--synth_width", "5"])
-        assert code == 0
-        spec, samples = load_synthetic(os.path.join(out, "synthetic.dtasnn"))
-        assert len(samples) == 10
-        assert samples[0].input.shape == (4, 2, 5, 5)
-
-    def test_fixture_carries_the_current_magic(self, tmp_path, capsys):
-        out = str(tmp_path / "fixtures")
-        assert main(["synth-data", "--out", out, "--train_samples", "4"]) == 0
-        with open(os.path.join(out, "synthetic.dtasnn"), "rb") as fh:
-            assert fh.read(8) == b"DTASNN02"
-
-
 class TestAblateCommand:
     def test_structure_of_sweep(self, tmp_path, capsys):
         out = str(tmp_path / "ablate")
@@ -424,6 +404,16 @@ class TestAblateCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert key in err and "Traceback" not in err
         assert not os.path.exists(out)
+
+
+def test_removed_synth_data_command_exit_2(capsys):
+    # the synthetic task is rebuilt from a config, so no command writes it
+    with pytest.raises(SystemExit) as exc:
+        main(["synth-data"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dtasnn") and "invalid choice: 'synth-data'" in err
+    assert "Traceback" not in err
 
 
 def test_checkpoint_loadable_via_library(tmp_path):

@@ -5,11 +5,7 @@ from dataclasses import asdict, dataclass
 
 import pytest
 
-from dtasnn.container import decode
-
-
-class DecodeError(ValueError):
-    pass
+from dtasnn.container import CheckpointError, decode
 
 
 @dataclass(frozen=True)
@@ -38,18 +34,18 @@ def header() -> dict:
 
 
 def test_round_trip():
-    assert decode(Outer, header(), DecodeError) == SPEC
+    assert decode(Outer, header()) == SPEC
 
 
 def test_keys_that_are_not_fields_are_left_to_the_caller():
-    assert decode(Outer, {**header(), "extra": 1}, DecodeError) == SPEC
+    assert decode(Outer, {**header(), "extra": 1}) == SPEC
 
 
 def test_missing_nested_field_named_by_dotted_path():
     h = header()
     del h["inner"]["flag"]
-    with pytest.raises(DecodeError, match="missing field 'inner.flag'"):
-        decode(Outer, h, DecodeError)
+    with pytest.raises(CheckpointError, match="missing field 'inner.flag'"):
+        decode(Outer, h)
 
 
 @pytest.mark.parametrize("field, value, match", [
@@ -57,5 +53,5 @@ def test_missing_nested_field_named_by_dotted_path():
     ("inner", [0.5, True], "'inner' is not a JSON object"),
 ])
 def test_refused_value_raises_callers_error(field, value, match):
-    with pytest.raises(DecodeError, match=match):
-        decode(Outer, {**header(), field: value}, DecodeError)
+    with pytest.raises(CheckpointError, match=match):
+        decode(Outer, {**header(), field: value})

@@ -1,20 +1,14 @@
 """Binary format loaders, synthetic generator statistics, coding, augmentation."""
 
-import json
-import os
 import struct
-import zlib
-from collections import Counter
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from dtasnn import container
 from dtasnn.data import (CIFAR10_FILE_BYTES, CIFAR10_MEAN, CIFAR10_STD, FormatError,
                          SynthSpec, augment, direct_code, gen_synthetic,
-                         load_cifar10_binary, load_idx, load_synthetic,
-                         normalize_cifar, parse_cifar_records, save_synthetic)
+                         load_cifar10_binary, load_idx, normalize_cifar,
+                         parse_cifar_records)
 
 
 def make_cifar_record(label, value):
@@ -224,95 +218,13 @@ class TestSynthetic:
         acc = evaluate(net, test_set, batch_size=16).accuracy
         assert acc <= 0.66  # must not significantly beat the 0.5 Bayes rate
 
-    def test_container_round_trip(self, tmp_path):
-        spec = SynthSpec(seed=4)
-        samples = gen_synthetic(spec, 12)
-        path = tmp_path / "synth.dtasnn"
-        save_synthetic(path, spec, samples)
-        spec2, loaded = load_synthetic(path)
-        assert spec2 == spec
-        assert len(loaded) == 12
-        for a, b in zip(samples, loaded):
-            np.testing.assert_array_equal(a.input, b.input)
-            assert a.label == b.label
-
-    def test_container_truncation_at_every_offset_raises_format_error(self, tmp_path):
-        path = tmp_path / "synth.dtasnn"
-        spec = SynthSpec(time_steps=2, channels=1, height=2, width=2)
-        save_synthetic(path, spec, gen_synthetic(spec, 3))
-        blob = path.read_bytes()
-        escaped = {}
-        for n in range(len(blob)):
-            path.write_bytes(blob[:n])
-            try:
-                load_synthetic(path)
-            except FormatError:
-                continue
-            except Exception as exc:
-                escaped[n] = type(exc).__name__
-            else:
-                escaped[n] = "no error"
-        assert not escaped, (f"{len(escaped)} of {len(blob)} offsets escaped: "
-                             f"{Counter(escaped.values())}")
-
-    def test_container_header_missing_field(self, tmp_path):
-        payload = json.dumps({"classes": 2}).encode("utf-8")
-        path = tmp_path / "synth.dtasnn"
-        blob = container.MAGIC + struct.pack("<I", len(payload)) + payload
-        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
-        with pytest.raises(FormatError, match="time_steps"):
-            load_synthetic(path)
-
     @pytest.mark.parametrize("override, field", [
-        ({"time_steps": 0, "temporal_signature": []}, "time_steps"),
+        ({"time_steps": 0}, "time_steps"),
         ({"height": -2, "width": -2}, "height"),
     ])
-    def test_container_header_bad_geometry(self, tmp_path, override, field):
-        spec = SynthSpec(time_steps=2, channels=1, height=2, width=2)
-        samples = gen_synthetic(spec, 3)
-        path = tmp_path / "synth.dtasnn"
-        container.write(path, {**asdict(spec), "count": 3, **override},
-                        (np.stack([s.input for s in samples]), [s.label for s in samples]))
-        with pytest.raises(FormatError, match=field):
-            load_synthetic(path)
-
-    @pytest.mark.parametrize("override, field", [
-        ({"classes": 2.0}, "classes"),
-        ({"seed": 1.5}, "seed"),
-        ({"time_steps": 2.0}, "time_steps"),
-        ({"width": True}, "width"),
-        ({"temporal_signature": [[0.0], [1]]}, "signature"),
-        ({"count": 3.5}, "count"),
-    ])
-    def test_container_header_non_integer_geometry(self, tmp_path, override, field):
-        spec = SynthSpec(time_steps=2, channels=1, height=2, width=2)
-        samples = gen_synthetic(spec, 3)
-        path = tmp_path / "synth.dtasnn"
-        container.write(path, {**asdict(spec), "count": 3, **override},
-                        (np.stack([s.input for s in samples]), [s.label for s in samples]))
-        with pytest.raises(FormatError, match=field):
-            load_synthetic(path)
-
-    def test_failed_write_keeps_previous_fixture(self, tmp_path):
-        spec = SynthSpec(time_steps=2, channels=1, height=2, width=2)
-        path = tmp_path / "synth.dtasnn"
-        save_synthetic(path, spec, gen_synthetic(spec, 3))
-        before = path.read_bytes()
-        samples = gen_synthetic(spec, 3)
-        samples[-1].label = "x"  # the label run fails after the input run is written
-        with pytest.raises(ValueError, match="'x'"):
-            save_synthetic(path, spec, samples)
-        assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["synth.dtasnn"]
-
-    def test_container_bad_magic(self, tmp_path):
-        path = tmp_path / "synth.dtasnn"
-        save_synthetic(path, SynthSpec(), gen_synthetic(SynthSpec(), 2))
-        blob = bytearray(path.read_bytes())
-        blob[1] ^= 0x55
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError):
-            load_synthetic(path)
+    def test_bad_geometry_rejected(self, override, field):
+        with pytest.raises(ValueError, match=field):
+            SynthSpec(**override)
 
 
 class TestAugment:
