@@ -4,10 +4,12 @@ All convolutions use cross-correlation semantics (no kernel flip). conv2d
 runs dense and depth-wise weights and has three kernel paths. The point-wise
 kernel (1x1, no padding) is one batched matmul per image over the strided
 input. The general kernel is an implicit GEMM (Chetlur et al., "cuDNN:
-Efficient Primitives for Deep Learning", 2014): it copies the input once into
-a zero-padded channels-last array, reshaped into stride x stride phases, and
-runs one accumulating matmul per kernel tap over a shifted block of a phase's
-rows, so no im2col column matrix is built or kept for the backward. The
+Efficient Primitives for Deep Learning", 2014) run over blocks of whole
+images sized to L2 cache (:data:`BLOCK_BYTES`): per block it copies the input
+into a zero-padded channels-last array, reshaped into stride x stride phases,
+and runs one accumulating matmul per kernel tap over a shifted block of a
+phase's rows, so no im2col column matrix and no batch-sized grid is built;
+the backward sums the weight gradient over the blocks (split-K). The
 depth-wise kernel is the Toeplitz lowering of Chellapilla et al. ("High
 Performance Convolutional Neural Networks for Document Processing", 2006)
 applied per channel: each kernel row is a banded matrix along the width, and
@@ -32,6 +34,13 @@ from scipy.linalg.blas import dgemm as _dgemm, sgemm as _sgemm
 
 from .tensor import GeometryError, ShapeError, Tensor, apply_primitive, pack
 
+
+# general conv2d: the byte budget of one block of whole images, their padded
+# input and output grids together, so a block's rows stay in cache. Measured
+# on a host with 2 MiB of L2 per core: 1 MiB ran the cifar-train backward
+# fastest but splits the desk model's convs, which fit one 3 MiB block; 3 MiB
+# gave cifar-train's lowest steady peak RSS among 1-4 MiB
+BLOCK_BYTES = 3 << 20
 
 # batch norm: share of the running statistics kept per training batch, and
 # the variance floor
@@ -95,23 +104,31 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     Its node keeps that strided copy, as uint8 when it is binary
     (:func:`~dtasnn.tensor.pack`), and the weights.
 
-    The general path (every other dense weight) copies the input into the
-    ``[padding:padding + H, padding:padding + W]`` window of one zeroed
-    channels-last array of shape ``(B, Hq * stride, Wq * stride, C)``,
-    ``Hq = ceil((H + 2 * padding) / stride)``, and reshapes that into
-    ``stride x stride`` phases of ``Hq x Wq`` positions: phase (p, q) holds
-    padded position ``(i * stride + p, j * stride + q)`` at (i, j). At
-    stride 1 the reshape is a view; otherwise it is one copy. Tap (u, v)
-    reads phase ``(u * dilation % stride, v * dilation % stride)`` at a
-    constant row shift of ``(u * dilation // stride) * Wq + v * dilation //
-    stride``, so it is one matmul over contiguous rows, accumulated into an
-    output on the same grid that is cropped to (Ho, Wo). The backward
-    accumulates the phase gradient the same way, reverses the reshape and
-    crops the window. Its node keeps the phase grid (about the size of the
-    padded input), as uint8 when it is binary, such as the grid of a spike
-    map, and widens it back for the backward; it also keeps the per-tap
-    weights, but of the input itself only its dtype. For a constant input
-    such as a data batch it returns no input gradient.
+    The general path (every other dense weight) runs over blocks of whole
+    images whose padded input and output grids fit :data:`BLOCK_BYTES`
+    together. Per block it copies the images into the ``[padding:padding +
+    H, padding:padding + W]`` window of a zeroed channels-last array of shape
+    ``(images, Hq * stride, Wq * stride, C)``, ``Hq = ceil((H + 2 * padding)
+    / stride)``, and reshapes that into ``stride x stride`` phases of ``Hq x
+    Wq`` positions: phase (p, q) holds padded position ``(i * stride + p, j *
+    stride + q)`` at (i, j). At stride 1 the reshape is a view; otherwise it
+    is one copy of the block. Tap (u, v) reads phase ``(u * dilation %
+    stride, v * dilation % stride)`` at a constant row shift of ``(u *
+    dilation // stride) * Wq + v * dilation // stride``, so it is one matmul
+    over contiguous rows, accumulated into an output on the same grid that
+    is cropped to (Ho, Wo) into the preallocated output. A tap that crosses
+    an image's edge reads or writes only rows that get cropped, so blocks
+    need no halo, and a batch that fits one block runs as one. Per block the
+    backward rebuilds the grid, adds each tap's weight gradient from rows
+    still in cache (so the weight gradient sums over blocks, in another
+    order than one whole-batch GEMM would), accumulates the phase gradient
+    the same way, reverses the reshape and crops the window into the
+    preallocated input gradient. Its node keeps a binary input (such as a
+    spike map) as one uint8 zero-padded channels-last grid, which the
+    forward fills block by block and the backward widens one block at a
+    time, and any other input as the input array itself; it also keeps the
+    per-tap weights. For a constant input such as a data batch it returns no
+    input gradient.
 
     The depth-wise path turns kernel row u of channel c into the banded
     (W, Wo) matrix ``band[c, u]`` holding ``w[c, 0, u, v]`` at
@@ -204,57 +221,96 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             return np.ascontiguousarray(gx_r.transpose(2, 0, 1, 3)), gw
 
     else:
-        # general: implicit GEMM over the padded phase grid; grid positions
-        # past (Ho, Wo) read wrapped rows and are cropped
+        # general: implicit GEMM over the padded phase grid of one block of
+        # whole images at a time; grid positions past (Ho, Wo) read wrapped
+        # rows and are cropped, so a block needs no halo
         Hq = -(-(H + 2 * padding) // stride)
         Wq = -(-(W + 2 * padding) // stride)
-        N = B * Hq * Wq
+        Hp, Wp = Hq * stride, Wq * stride
         dtype = np.result_type(xv, wv)
-        # the zero-padded input, channels last, reshaped into its phases; at
-        # stride > 1 the reshape copies and the padded array dies with the
-        # rebinding
-        phases = np.zeros((B, Hq * stride, Wq * stride, C), dtype=dtype)
-        phases[:, padding:padding + H, padding:padding + W] = xv.transpose(0, 2, 3, 1)
-        phases = phases.reshape(B, Hq, stride, Wq, stride, C).transpose(
-            2, 4, 0, 1, 3, 5).reshape(stride, stride, N, C)
+        image_bytes = (Hp * Wp * C + Hq * Wq * Cout) * dtype.itemsize
+        step = max(1, BLOCK_BYTES // image_bytes)
+        blocks = [(b0, min(b0 + step, B)) for b0 in range(0, B, step)]
+
+        def phases(src, b0, b1):
+            # images b0:b1's padded grid as (stride, stride, rows, C) phases:
+            # phase (p, q) holds padded position (i * stride + p, j * stride
+            # + q) at row (image, i, j); one copy, none for a float input at
+            # stride 1
+            if src.dtype == np.uint8:
+                grid = src[b0:b1]
+            else:
+                grid = np.zeros((b1 - b0, Hp, Wp, C), dtype=dtype)
+                grid[:, padding:padding + H, padding:padding + W] = \
+                    src[b0:b1].transpose(0, 2, 3, 1)
+            grid = grid.reshape(b1 - b0, Hq, stride, Wq, stride, C).transpose(2, 4, 0, 1, 3, 5)
+            return np.ascontiguousarray(grid, dtype=dtype).reshape(stride, stride, -1, C)
+
         # (kh, kw, C, Cout): the per-tap right-hand operand
         wt = np.ascontiguousarray(wv.transpose(2, 3, 1, 0), dtype=dtype)
         taps = [(u, v, u * dilation % stride, v * dilation % stride,
                  u * dilation // stride * Wq + v * dilation // stride)
                 for u in range(kh) for v in range(kw)]
-        out_g = np.zeros((N, Cout), dtype=dtype)
-        for u, v, a, b, shift in taps:
-            _addmm(out_g[:N - shift], phases[a, b, shift:], wt[u, v])
-        out = np.ascontiguousarray(
-            out_g.reshape(B, Hq, Wq, Cout)[:, :Ho, :Wo].transpose(0, 3, 1, 2))
+        out = None
+        # the node keeps a binary input (spikes) as one zeroed uint8 padded
+        # grid, channels last, filled block by block, and any other input as
+        # itself: from the first block that is not binary on
+        kept = xv
+        for b0, b1 in blocks:
+            if kept is not xv or b0 == 0:
+                bits = pack(xv[b0:b1])
+                if bits.dtype != np.uint8:
+                    kept = xv
+                else:
+                    if b0 == 0:
+                        kept = np.zeros((B, Hp, Wp, C), dtype=np.uint8)
+                    kept[b0:b1, padding:padding + H, padding:padding + W] = \
+                        bits.transpose(0, 2, 3, 1)
+                del bits
+            ph = phases(kept, b0, b1)
+            n = ph.shape[2]
+            out_g = np.zeros((n, Cout), dtype=dtype)
+            for u, v, a, b, shift in taps:
+                _addmm(out_g[:n - shift], ph[a, b, shift:], wt[u, v])
+            if out is None:
+                # allocated after the first block's grids: of the orders
+                # tried, this one left the lowest peak RSS on every bench
+                # workload
+                out = np.empty((B, Cout, Ho, Wo), dtype=dtype)
+            out[b0:b1] = out_g.reshape(b1 - b0, Hq, Wq, Cout)[:, :Ho, :Wo].transpose(0, 3, 1, 2)
         # a constant input (the data batch under the stem) needs no gradient
         need_gx = x.rec is not None or x.requires_grad
         x_dtype, w_dtype = xv.dtype, wv.dtype
-        kept = pack(phases)
-        del phases
 
         def bwd(g):
-            phases = kept.astype(dtype, copy=False)
-            g_g = np.zeros((N, Cout), dtype=dtype)
-            g_g.reshape(B, Hq, Wq, Cout)[:, :Ho, :Wo] = g.transpose(0, 2, 3, 1)
-            gwt = np.empty_like(wt)
-            gph = np.zeros_like(phases) if need_gx else None
-            for u, v, a, b, shift in taps:
-                n = N - shift
-                np.matmul(phases[a, b, shift:].T, g_g[:n], out=gwt[u, v])
+            # per block: the weight gradient's share (split-K over images)
+            # and the block's input gradient, from rows still in cache; the
+            # block's grids die before its crop copy
+            gx = np.empty((B, C, H, W), dtype=x_dtype) if need_gx else None
+            gwt = None
+            for b0, b1 in blocks:
+                ph = phases(kept, b0, b1)
+                n = ph.shape[2]
+                g_g = np.zeros((n, Cout), dtype=dtype)
+                g_g.reshape(b1 - b0, Hq, Wq, Cout)[:, :Ho, :Wo] = g[b0:b1].transpose(0, 2, 3, 1)
+                part = np.empty_like(wt)
+                gph = np.zeros_like(ph) if need_gx else None
+                for u, v, a, b, shift in taps:
+                    np.matmul(ph[a, b, shift:].T, g_g[:n - shift], out=part[u, v])
+                    if gph is not None:
+                        _addmm(gph[a, b, shift:], g_g[:n - shift], wt[u, v].T)
+                del ph, g_g
+                if gwt is None:
+                    gwt = part
+                else:
+                    gwt += part
                 if gph is not None:
-                    _addmm(gph[a, b, shift:], g_g[:n], wt[u, v].T)
-            del phases  # the widened grid, when the node kept it packed
-            gw = gwt.transpose(3, 2, 0, 1).astype(w_dtype, copy=False)
-            if gph is None:
-                return None, gw
-            # the phase split reversed: a copy at stride > 1, so the phase
-            # gradient is dropped before the crop copies again
-            grid = gph.reshape(stride, stride, B, Hq, Wq, C).transpose(
-                2, 3, 0, 4, 1, 5).reshape(B, Hq * stride, Wq * stride, C)
-            del gph
-            gx = grid[:, padding:padding + H, padding:padding + W].transpose(0, 3, 1, 2)
-            return np.ascontiguousarray(gx, dtype=x_dtype), gw
+                    # the phase split reversed (a copy at stride > 1), cropped
+                    grid = gph.reshape(stride, stride, b1 - b0, Hq, Wq, C).transpose(
+                        2, 3, 0, 4, 1, 5).reshape(b1 - b0, Hp, Wp, C)
+                    gx[b0:b1] = grid[:, padding:padding + H, padding:padding + W].transpose(
+                        0, 3, 1, 2)
+            return gx, gwt.transpose(3, 2, 0, 1).astype(w_dtype, copy=False)
 
     return apply_primitive((x, w), out, bwd)
 

@@ -13,7 +13,7 @@ Memory: a node keeps a gradient slot for its output, not the output, and its
 backward closure keeps exactly the arrays that backward reads (as PyTorch's
 ``ctx.save_for_backward`` does), so an intermediate dies with the forward's
 last reference unless a backward reads it. An array a backward reads whose
-values are all exactly 0 or 1, such as spikes or a phase grid built from
+values are all exactly 0 or 1, such as spikes or a conv's padded grid of
 them, is kept as uint8 (:func:`pack`; the "binarize" encoding of Jain et
 al., "Gist", ISCA 2018), a quarter of float32's bytes, and the backward
 widens it back as one transient array. :func:`backward` takes each node
@@ -22,7 +22,9 @@ record holds no tape once its backward returns. A record whose ``with``
 block raises drops its tape on exit. Importing this module pins two glibc
 allocator thresholds for the process (see :func:`_keep_freed_pages`), so a
 freed tape stays in the heap and the next step reuses it instead of
-faulting fresh pages in.
+faulting fresh pages in, and runs every loaded OpenBLAS on one thread (see
+:func:`_pin_blas_threads`), so results do not depend on the environment's
+thread count.
 
 Default element type is float32. Kernels are dtype-generic, so verification
 code may run the same graph in float64 by constructing float64 tensors.
@@ -66,6 +68,44 @@ def _keep_freed_pages(open_libc=ctypes.CDLL) -> None:
 
 
 _keep_freed_pages()
+
+
+def _pin_blas_threads(maps: str = "/proc/self/maps", open_lib=ctypes.CDLL) -> list:
+    """Run every OpenBLAS loaded in this process on one thread.
+
+    numpy and scipy each load their own OpenBLAS, which starts as many
+    threads as ``OPENBLAS_NUM_THREADS`` (or the core count) asks for. More
+    than one changes the summation order of a GEMM, so the trained bits,
+    and made a step slower on a two-core host. The loaded libraries are
+    found in the process's memory map and pinned through their
+    ``set_num_threads`` symbol (numpy's ``scipy_openblas_..._64_`` build,
+    scipy's ``scipy_openblas_...``, or a plain ``openblas_...``).
+    Returns ``(path, get_num_threads symbol)`` per pinned library. This acts
+    on the calling process only; where the map, a library or a symbol is
+    missing, it does nothing.
+    """
+    try:
+        with open(maps) as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line})
+    except OSError:
+        return []
+    pinned = []
+    for path in paths:
+        try:
+            lib = open_lib(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
+            setter = getattr(lib, name.format("set_num_threads"), None)
+            if setter is not None:
+                setter.argtypes = (ctypes.c_int,)
+                setter(1)
+                pinned.append((path, name.format("get_num_threads")))
+                break
+    return pinned
+
+
+BLAS_PINNED = _pin_blas_threads()
 
 
 class ShapeError(ValueError):

@@ -449,6 +449,26 @@ def test_module_entry_point_in_a_fresh_interpreter(tmp_path):
     assert "bad container magic b'DTASNN01'" in run.stderr
 
 
+def test_checkpoint_bits_do_not_depend_on_blas_threads(tmp_path):
+    # the engine pins its BLAS to one thread, so a child asked for two, or
+    # left to OpenBLAS's default, trains the same bits as a one-thread child;
+    # each child's own variables replace the suite's one-thread pin
+    unset = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS")
+    written = []
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in child_env().items() if k not in unset}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"run-{threads}"
+        run = subprocess.run([sys.executable, "-m", "dtasnn.cli", "train", "--config",
+                              os.path.join(ROOT, "configs", "synthetic.cfg"), "--epochs", "1",
+                              "--out", str(out)],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        written.append((out / "checkpoint.dtasnn").read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+
+
 def test_full_disk_keeps_the_previous_checkpoint(tmp_path):
     # the child's own RLIMIT_FSIZE stops the first checkpoint write partway;
     # CPython ignores SIGXFSZ, so the write fails with EFBIG

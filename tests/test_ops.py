@@ -1,9 +1,11 @@
 """Convolution, affine, and batch-norm kernels against naive loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dtasnn import tensor as tz
+from dtasnn import ops, tensor as tz
 from dtasnn.ops import (BatchNormState, MissingStatisticsError, batch_norm_2d, conv1d,
                         conv2d, linear)
 from dtasnn.tensor import (ComputationRecord, GeometryError, ShapeError, Tensor,
@@ -275,6 +277,106 @@ class TestGeneral:
         assert partials[1].tobytes() == tracked[1].tobytes()
 
 
+def image_bytes(shape, wshape, kwargs, dtype):
+    """Bytes one image's padded input and output grids take in the general
+    path: what ``ops.BLOCK_BYTES`` is measured in."""
+    _, C, H, W = shape
+    stride, padding = kwargs.get("stride", 1), kwargs.get("padding", 0)
+    Hq, Wq = -(-(H + 2 * padding) // stride), -(-(W + 2 * padding) // stride)
+    return (Hq * Wq * stride * stride * C + Hq * Wq * wshape[0]) * np.dtype(dtype).itemsize
+
+
+class TestImageBlocks:
+    """The general path in blocks of whole images: any split gives the loop
+    oracle's results, and only the weight gradient's summation order
+    depends on it."""
+
+    # (input shape, weight shape, geometry), five images each
+    GEOMETRIES = [
+        ((5, 3, 7, 7), (4, 3, 3, 3), dict(stride=2, padding=1)),
+        ((5, 2, 9, 8), (3, 2, 3, 3), dict(stride=2, padding=2, dilation=2)),
+        ((5, 3, 6, 6), (4, 3, 3, 3), dict(padding=1)),
+        ((5, 2, 9, 9), (3, 2, 3, 3), dict(padding=2, dilation=2)),
+    ]
+
+    @staticmethod
+    def inputs(rng, shape, wshape, kind, dtype):
+        if kind == "real":
+            xv = rng.standard_normal(shape)
+        else:
+            xv = (rng.random(shape) < 0.5).astype(np.float64)
+            if kind == "binary-then-real":
+                xv[-1, 0, 1, 1] = 0.5  # only the last block is not binary
+        return xv.astype(dtype), rng.standard_normal(wshape).astype(dtype)
+
+    @staticmethod
+    def blocks_run(monkeypatch, xv, wv, kwargs):
+        """How many blocks an untaped forward runs: one _addmm per tap per
+        block."""
+        calls = []
+        addmm = ops._addmm
+        monkeypatch.setattr(ops, "_addmm", lambda c, a, b: (calls.append(1), addmm(c, a, b)))
+        conv2d(Tensor(xv), Tensor(wv), **kwargs)
+        monkeypatch.setattr(ops, "_addmm", addmm)
+        return len(calls) // (wv.shape[2] * wv.shape[3])
+
+    # one image per block, or two with a short last block of one
+    @pytest.mark.parametrize("images,blocks", [(1, 5), (2, 3)])
+    @pytest.mark.parametrize("kind", ["real", "binary", "binary-then-real"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("track_x", [False, True])
+    @pytest.mark.parametrize("shape,wshape,kwargs", GEOMETRIES)
+    def test_matches_loop_oracle(self, monkeypatch, rng, shape, wshape, kwargs, track_x,
+                                 dtype, kind, images, blocks):
+        monkeypatch.setattr(ops, "BLOCK_BYTES", images * image_bytes(shape, wshape, kwargs, dtype))
+        xv, wv = self.inputs(rng, shape, wshape, kind, dtype)
+        assert self.blocks_run(monkeypatch, xv, wv, kwargs) == blocks
+        full = {"stride": 1, "padding": 0, "dilation": 1, **kwargs}
+        want = conv2d_loop(xv, wv, **full)
+        g = rng.standard_normal(want.shape).astype(dtype)
+        out, grads = taped_conv2d(xv, wv, g, kwargs, track_x)
+        check_against_loop_grads(xv, wv, g, full, dtype, track_x, out, want, grads)
+
+    @pytest.mark.parametrize("kind", ["real", "binary"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,wshape,kwargs", GEOMETRIES)
+    def test_only_the_weight_gradient_depends_on_the_split(self, monkeypatch, rng, shape,
+                                                           wshape, kwargs, dtype, kind):
+        xv, wv = self.inputs(rng, shape, wshape, kind, dtype)
+        g = rng.standard_normal(conv2d(Tensor(xv), Tensor(wv), **kwargs).shape).astype(dtype)
+        fit = shape[0] * image_bytes(shape, wshape, kwargs, dtype)
+        runs = {}
+        # the whole batch as one block, exactly fitting it, and one image each
+        for budget, blocks in ((1 << 40, 1), (fit, 1), (fit - 1, 2), (1, shape[0])):
+            monkeypatch.setattr(ops, "BLOCK_BYTES", budget)
+            assert self.blocks_run(monkeypatch, xv, wv, kwargs) == blocks
+            out, (gx, gw) = taped_conv2d(xv, wv, g, kwargs)
+            runs[budget] = [out.tobytes(), gx.tobytes(), gw]
+        whole = runs.pop(1 << 40)
+        assert runs[fit][2].tobytes() == whole[2].tobytes()
+        for out, gx, gw in runs.values():
+            assert out == whole[0] and gx == whole[1]
+            tol = 1e-12 if dtype == np.float64 else 1e-5
+            np.testing.assert_allclose(gw, whole[2], rtol=tol, atol=tol)
+
+    def test_backward_allocates_the_input_gradient_and_a_few_blocks(self, rng):
+        # cifar-train's block-0 conv2 on spikes: past its inputs, the backward
+        # allocates gx and one block's grids (a whole-batch grid is ~9 MiB)
+        x = Tensor((rng.random((64, 32, 32, 32)) < 0.2).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((32, 32, 3, 3)).astype(np.float32), requires_grad=True)
+        g = rng.standard_normal((64, 32, 32, 32)).astype(np.float32)
+        with ComputationRecord() as rec:
+            conv2d(x, w, padding=1)
+            bwd = rec.nodes[0].backward_fn
+            tracemalloc.start()
+            try:
+                gx, _ = bwd(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= gx.nbytes + 3 * ops.BLOCK_BYTES
+
+
 class TestPointwise:
     """The dense 1x1 path without padding: one batched matmul per image."""
 
@@ -313,8 +415,10 @@ class TestPointwise:
 
 
 class TestBinaryPacking:
-    """A binary input's phase grid or strided copy is kept as uint8, and any
-    other value keeps it float; either way the results are the loop
+    """What the node keeps of its input: the general path keeps a binary
+    input as its zero-padded channels-last grid in uint8 and any other input
+    as the input array itself, with no copy; the point-wise path keeps its
+    strided copy, as uint8 when binary. Either way the results are the loop
     oracle's."""
 
     # (input shape, weight shape, geometry): the general path at stride 1 and
@@ -343,6 +447,15 @@ class TestBinaryPacking:
             (kept,) = [a for a in held if isinstance(a, np.ndarray) and a.size != wv.size]
             backward(tz.tsum(out * Tensor(g)))
         assert kept.dtype == (np.uint8 if odd is None else np.float64)
+        if wshape[2:] != (1, 1):
+            # the general path: the padded grid's bytes, or the input itself
+            B, C, H, W = shape
+            stride, padding = kwargs.get("stride", 1), kwargs["padding"]
+            Hp, Wp = (-(-(n + 2 * padding) // stride) * stride for n in (H, W))
+            if odd is None:
+                assert kept.shape == (B, Hp, Wp, C)
+            else:
+                assert kept is x.values
         check_against_loop_grads(xv, wv, g, full, np.float64, True, out.values, want,
                                  [x.grad, w.grad])
 

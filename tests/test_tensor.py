@@ -1,6 +1,10 @@
 """Core tensor and tape semantics: broadcasting, backward rules, determinism."""
 
 import gc
+import json
+import os
+import subprocess
+import sys
 import types
 import weakref
 
@@ -12,6 +16,8 @@ from dtasnn.tensor import ComputationRecord, RecordError, ShapeError, Tensor, ba
 
 from oracles import fd_grad, gelu_reference
 from tapes import tape_arrays
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def leaf(values, dtype=np.float64):
@@ -223,6 +229,56 @@ class TestAllocatorThresholds:
 
         tz._keep_freed_pages(lambda name: types.SimpleNamespace())
         tz._keep_freed_pages(unloadable)
+
+
+class TestBlasThreads:
+    def test_every_loaded_openblas_runs_one_thread(self):
+        # a fresh interpreter asked for two threads: after the import, every
+        # OpenBLAS in its memory map is pinned and reports one thread
+        probe = ("import ctypes, json\n"
+                 "from dtasnn import tensor\n"
+                 "maps = {l.split()[-1] for l in open('/proc/self/maps') if 'openblas' in l}\n"
+                 "print(json.dumps([sorted(maps), sorted(p for p, _ in tensor.BLAS_PINNED),\n"
+                 "    [getattr(ctypes.CDLL(p), g)() for p, g in tensor.BLAS_PINNED]]))\n")
+        env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        env["PYTHONPATH"] = os.pathsep.join([SRC] + env.get("PYTHONPATH", "").split(os.pathsep))
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        loaded, pinned, threads = json.loads(run.stdout)
+        # numpy's and scipy's wheels each bring their own build
+        assert loaded and pinned == loaded
+        assert threads == [1] * len(loaded)
+
+    def test_symbols_tried_per_library(self, tmp_path):
+        maps = tmp_path / "maps"
+        maps.write_text("7f00 r-xp 0 08:01 1 /lib/a-openblas.so\n"
+                        "7f01 r-xp 0 08:01 2 /lib/libc.so\n"
+                        "7f02 r-xp 0 08:01 3 /lib/b-openblas.so\n"
+                        "7f03 r-xp 0 08:01 4 /lib/c-openblas.so\n")
+        calls = []
+
+        def setter(name):
+            def set_num_threads(n):
+                calls.append((name, n))
+            return set_num_threads
+
+        libs = {"/lib/a-openblas.so": types.SimpleNamespace(
+                    scipy_openblas_set_num_threads=setter("a")),
+                "/lib/b-openblas.so": types.SimpleNamespace(
+                    openblas_set_num_threads64_=setter("b"))}
+
+        def open_lib(path):
+            if path not in libs:
+                raise OSError(path)
+            return libs[path]
+
+        pinned = tz._pin_blas_threads(str(maps), open_lib)
+        assert calls == [("a", 1), ("b", 1)]
+        assert pinned == [("/lib/a-openblas.so", "scipy_openblas_get_num_threads"),
+                          ("/lib/b-openblas.so", "openblas_get_num_threads64_")]
+        assert tz._pin_blas_threads(str(tmp_path / "missing"), open_lib) == []
 
 
 class TestActivations:
