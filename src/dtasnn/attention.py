@@ -13,7 +13,10 @@ The fused gate is ``sigmoid(cross * non_identical) * spikes``, so the output
 vanishes wherever no spike fired and stays strictly below 1 in magnitude for
 binary spikes. The gate is one primitive, :func:`dta_gate`, and so is the
 non-identical branch's product of its local map, global map and features,
-:func:`tna_product`. The cross-attention branch hands the gate only the two
+:func:`tna_product`. That product, the point-wise conv before it and the
+decode conv after it run as one :func:`~dtasnn.tensor.recompute` node, whose
+backward rebuilds them, so the tape keeps no full-size array of theirs. The
+cross-attention branch hands the gate only the two
 (T, B, C) maps its local attentions add over space, so no full-size array is
 built or kept for it.
 
@@ -74,11 +77,12 @@ class TnaParams:
     """Learnable state of the non-identical branch over the fused T*C axis.
 
     Local path: depth-wise 5x5, dilated depth-wise 7x7 (dilation 3),
-    point-wise 1x1 - the large-kernel-attention decomposition. Global path:
-    squeeze/expand bottleneck with ratio r, the largest of 4, 3, 2, 1 that
-    divides T*C. Encode/decode are 1x1 projections
-    around the whole block; decode starts anywhere, but an all-zero decode
-    reduces the block to an identity.
+    point-wise 1x1 - the large-kernel-attention decomposition; :func:`ltca`
+    runs the two depth-wise convs and :func:`t_na`'s recomputed tail the
+    point-wise one. Global path: squeeze/expand bottleneck with ratio r, the
+    largest of 4, 3, 2, 1 that divides T*C. Encode/decode are 1x1
+    projections around the whole block; decode starts anywhere, but an
+    all-zero decode reduces the block to an identity.
     """
 
     encode: Tensor       # (TC, TC, 1, 1)
@@ -153,13 +157,15 @@ def t_xa(x: Tensor, p: TxaParams) -> tuple[Tensor, Tensor]:
 
 
 def ltca(f: Tensor, p: TnaParams) -> Tensor:
-    """Local path over (B, TC, H, W): depth-wise, dilated depth-wise, point-wise.
+    """Local path's depth-wise part over (B, TC, H, W): depth-wise, then
+    dilated depth-wise.
 
-    All three convolutions are padded to preserve the spatial extents.
+    Both convolutions are padded to preserve the spatial extents. The
+    point-wise conv that ends the local path runs in :func:`t_na`'s
+    recomputed tail.
     """
     h = conv2d(f, p.dw, padding=(K_DW - 1) // 2)
-    h = conv2d(h, p.ddw, padding=DILATION * (K_DDW - 1) // 2, dilation=DILATION)
-    return conv2d(h, p.pw)
+    return conv2d(h, p.ddw, padding=DILATION * (K_DDW - 1) // 2, dilation=DILATION)
 
 
 def gtca(f: Tensor, p: TnaParams) -> Tensor:
@@ -202,14 +208,22 @@ def t_na(x: Tensor, p: TnaParams) -> Tensor:
 
     Folds (T, B, C, H, W) to (B, T*C, H, W), encodes with a 1x1 conv + GELU,
     gates the encoding with the local and global paths, decodes with a 1x1
-    conv, and adds the fold back as a residual before unfolding.
+    conv, and adds the fold back as a residual before unfolding. The tail
+    from the local path's point-wise conv through the gating product to the
+    decode conv is one :func:`~dtasnn.tensor.recompute` node: it keeps the
+    dilated depth-wise output, which the point-wise conv would keep anyway,
+    and the global map and the features, which other nodes read anyway; its
+    backward rebuilds the point-wise output and the product, so neither
+    outlives the forward.
     """
     _require_5d(x, "t_na")
     T, B, C, H, W = x.shape
     folded = tz.reshape(tz.transpose(x, (1, 0, 2, 3, 4)), (B, T * C, H, W))
     feat = tz.gelu(conv2d(folded, p.encode))
-    attended = tna_product(ltca(feat, p), gtca(feat, p), feat)
-    out = conv2d(attended, p.decode) + folded
+    decoded = tz.recompute(
+        lambda h, g, f: conv2d(tna_product(conv2d(h, p.pw), g, f), p.decode),
+        ltca(feat, p), gtca(feat, p), feat)
+    out = decoded + folded
     return tz.transpose(tz.reshape(out, (B, T, C, H, W)), (1, 0, 2, 3, 4))
 
 

@@ -22,7 +22,8 @@ FD_STEP = 1e-3
 CHECK_NAMES = ("add", "mul", "sigmoid", "gelu", "relu", "mean", "tsum", "reshape",
                "transpose", "conv2d", "conv2d_depthwise", "conv1d", "linear",
                "batch_norm_2d", "cross_entropy", "lif_unroll", "dta_block",
-               "conv2d_pointwise", "dta_gate", "tna_product", "batch_norm_lif")
+               "conv2d_pointwise", "dta_gate", "tna_product", "batch_norm_lif",
+               "recompute")
 
 
 def numerical_grad(f: Callable[[], Tensor], t: Tensor) -> np.ndarray:
@@ -351,5 +352,13 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
             fused_err = max(fused_err, max_relative_error(
                 -a if break_op == "batch_norm_lif" else a, oracle))
     results.append(CheckResult("batch_norm_lif", fused_err, 1e-3))
+
+    # a recomputed region: xr feeds it and the loss beside it, wr and br
+    # are read by closure, and the constant cr gets no partial
+    xr, wr, br = param(3, 4), param(2, 4, scale=0.5), param(2, scale=0.1)
+    cr, probe_r, probe_x = probe(3, 4), probe(3, 2), probe(3, 4)
+    run("recompute", 1e-3, lambda: tz.tsum(
+        tz.recompute(lambda x, c: tz.gelu(ops.linear(x * c, wr, br)), xr, cr) * probe_r
+        + tz.tsum(xr * probe_x)), [xr, wr, br])
 
     return results

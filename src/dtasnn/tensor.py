@@ -16,9 +16,12 @@ last reference unless a backward reads it. An array a backward reads whose
 values are all exactly 0 or 1, such as spikes or a conv's padded grid of
 them, is kept as uint8 (:func:`pack`; the "binarize" encoding of Jain et
 al., "Gist", ISCA 2018), a quarter of float32's bytes, and the backward
-widens it back as one transient array. :func:`backward` takes each node
-off its record as its turn comes, freeing what its backward kept, and a
-record holds no tape once its backward returns. A record whose ``with``
+widens it back as one transient array. A region that is cheap to rebuild
+per byte it would keep runs as one :func:`recompute` node, which keeps only
+the region's inputs and rebuilds the rest in its backward; GELU's node keeps
+its slope, one array, in place of its input and CDF. :func:`backward` takes
+each node off its record as its turn comes, freeing what its backward kept,
+and a record holds no tape once its backward returns. A record whose ``with``
 block raises drops its tape on exit. Importing this module pins two glibc
 allocator thresholds for the process (see :func:`_keep_freed_pages`), so a
 freed tape stays in the heap and the next step reuses it instead of
@@ -299,8 +302,10 @@ def apply_primitive(inputs: tuple, out_values: np.ndarray,
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Populate the gradients of the leaves reachable from the scalar *loss*.
+def backward(out: Tensor, grad: np.ndarray | None = None) -> None:
+    """Populate the gradients of the leaves reachable from *out*, seeded with
+    *grad*: ones when *grad* is None, which only a scalar *out* (a loss)
+    allows, else an array of *out*'s shape and dtype.
 
     Accumulation is additive: a tensor consumed k times receives the sum of
     its k partials. Every consumer of a node's output was recorded after it,
@@ -310,19 +315,25 @@ def backward(loss: Tensor) -> None:
     leaves the record as its turn comes, so the arrays its backward keeps
     are freed before the nodes recorded earlier run, and the record is
     empty when this returns, also when a node's backward raises. Raises on a
-    non-scalar loss, a loss detached from any record, or a record whose
+    non-scalar *out* without *grad*, a *grad* whose shape or dtype differs
+    from *out*'s, an *out* detached from any record, or a record whose
     backward already ran or whose block raised.
     """
-    if loss.size != 1:
-        raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-    rec = loss.rec
+    if grad is None:
+        if out.size != 1:
+            raise ShapeError(f"backward of a non-scalar output {out.shape} needs a grad")
+        grad = np.ones_like(out.values)
+    elif grad.shape != out.shape or grad.dtype != out.dtype:
+        raise ShapeError(f"grad {grad.shape} {grad.dtype} does not match output "
+                         f"{out.shape} {out.dtype}")
+    rec = out.rec
     if rec is None:
-        raise RecordError("loss is not attached to a computation record")
+        raise RecordError("output is not attached to a computation record")
     if rec._backward_done:
         raise RecordError("backward was already called on this record, or its block raised")
     rec._backward_done = True
     nodes = rec.nodes
-    loss.slot.grad = np.ones_like(loss.values)
+    out.slot.grad = grad
     try:
         while nodes:
             node = nodes.pop()
@@ -336,6 +347,54 @@ def backward(loss: Tensor) -> None:
                     t.grad = p if t.grad is None else t.grad + p
     finally:
         nodes.clear()
+
+
+def recompute(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
+    """``fn(*inputs)`` as one node that keeps only the inputs' arrays.
+
+    While a record is active, *fn* runs untaped and the node keeps each
+    input's array (through :func:`pack`) and nothing *fn* built. Its
+    backward runs *fn* again under a record of its own, on fresh leaves
+    holding those arrays, backpropagates the upstream gradient through that
+    record and returns each input's gradient, or None for a constant input;
+    a parameter that *fn* reads by closure gets its gradient from that inner
+    backward. The outer record is active again afterwards, also when the
+    inner pass raises. This is selective recomputation (Chen et al.,
+    "Training Deep Nets with Sublinear Memory Cost", 2016; Korthikanti et
+    al., MLSys 2023): worth it for a region that is cheap to rebuild per byte
+    it would keep. With no record active it is ``fn(*inputs)``. As for any
+    primitive, the node is recorded only when some input is traced, so a
+    parameter read by closure gets a gradient only then.
+
+    *fn* must be pure, since a taped call runs it twice: a training-mode
+    batch norm inside it would update its running statistics twice.
+    """
+    global _ACTIVE
+    rec = _ACTIVE
+    if rec is None:
+        return fn(*inputs)
+    _ACTIVE = None
+    try:
+        out_values = fn(*inputs).values
+    finally:
+        _ACTIVE = rec
+    kept = [pack(t.values) for t in inputs]
+    dtypes = [t.dtype for t in inputs]
+    needs = [t.rec is rec or t.requires_grad for t in inputs]
+
+    def bwd(g):
+        global _ACTIVE
+        outer, _ACTIVE = _ACTIVE, None
+        try:
+            leaves = [Tensor(k, requires_grad=n, dtype=d)
+                      for k, n, d in zip(kept, needs, dtypes)]
+            with ComputationRecord():
+                backward(fn(*leaves), g)
+        finally:
+            _ACTIVE = outer
+        return [leaf.grad for leaf in leaves]
+
+    return apply_primitive(inputs, out_values, bwd)
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -398,14 +457,22 @@ _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian-error linear unit, exact CDF form: x * Phi(x)."""
+    """Gaussian-error linear unit, exact CDF form: x * Phi(x).
+
+    While a record is active the forward also forms the slope
+    ``Phi(x) + x * phi(x)`` with the backward's float ops, and the node
+    keeps that one array in place of the input and its CDF.
+    """
     av = a.values
     cdf = 0.5 * (1.0 + _erf(av * _INV_SQRT2))
     out = (av * cdf).astype(a.dtype, copy=False)
+    slope = None
+    if _ACTIVE is not None:
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * av * av)
+        slope = cdf + av * pdf
 
     def bwd(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * av * av)
-        return (g * (cdf + av * pdf),)
+        return (g * slope,)
 
     return apply_primitive((a,), out, bwd)
 

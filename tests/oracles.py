@@ -281,11 +281,10 @@ def gelu_vec_ref(x):
 
 
 def ltca_ref(f, p):
-    """Depth-wise 5x5 (padding 2), depth-wise 7x7 at dilation 3 (padding 9),
-    then point-wise."""
+    """Depth-wise 5x5 (padding 2), then depth-wise 7x7 at dilation 3
+    (padding 9)."""
     h = conv2d_loop(f, p.dw.values, stride=1, padding=2, dilation=1)
-    h = conv2d_loop(h, p.ddw.values, stride=1, padding=9, dilation=3)
-    return conv2d_loop(h, p.pw.values, stride=1, padding=0, dilation=1)
+    return conv2d_loop(h, p.ddw.values, stride=1, padding=9, dilation=3)
 
 
 def gtca_ref(f, p):
@@ -301,7 +300,8 @@ def t_na_ref(x, p):
     T, B, C, H, W = x.shape
     folded = x.transpose(1, 0, 2, 3, 4).reshape(B, T * C, H, W)
     feat = gelu_vec_ref(conv2d_loop(folded, p.encode.values, 1, 0, 1))
-    attended = tna_product_ref(ltca_ref(feat, p), gtca_ref(feat, p), feat)
+    local = conv2d_loop(ltca_ref(feat, p), p.pw.values, 1, 0, 1)
+    attended = tna_product_ref(local, gtca_ref(feat, p), feat)
     out = conv2d_loop(attended, p.decode.values, 1, 0, 1) + folded
     return out.reshape(B, T, C, H, W).transpose(1, 0, 2, 3, 4)
 

@@ -132,15 +132,16 @@ class TestTna:
         p.dw.values[:, 0, 2, 2] = 1.0      # center tap of the 5x5
         p.ddw.values[...] = 0.0
         p.ddw.values[:, 0, 3, 3] = 1.0     # center tap of the 7x7
-        p.pw.values[...] = np.eye(tc)[:, :, None, None]
         f = Tensor(rng.standard_normal((1, tc, 8, 8)), dtype=np.float64)
         np.testing.assert_allclose(ltca(f, p).values, f.values, rtol=1e-12)
 
-    def test_ltca_zero_pointwise_gives_zero(self, rng):
-        p = TnaParams.init(2, 2, rng, dtype=np.float64)
+    def test_zero_pointwise_is_identity(self, rng):
+        # the point-wise conv starts T-NA's tail: with it zero, the gating
+        # product and the decode are zero and only the residual is left
+        _, p = f64_params(2, 2, rng)
         p.pw.values[...] = 0.0
-        f = Tensor(rng.standard_normal((1, 4, 8, 8)), dtype=np.float64)
-        np.testing.assert_array_equal(ltca(f, p).values, 0.0)
+        xv = rng.standard_normal((2, 2, 2, 4, 4))
+        np.testing.assert_array_equal(t_na(Tensor(xv, dtype=np.float64), p).values, xv)
 
     def test_ltca_matches_loop_oracle(self, rng):
         _, p = f64_params(2, 2, rng)

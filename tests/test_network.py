@@ -216,17 +216,18 @@ class TestTapeNodes:
     Activations stay folded over T*B from stem to head, so only the attention
     block's input and output and the per-step logits are reshaped on the tape,
     and the loss is one node. The stem's batch norm and each block's first
-    run fused with the spiking layer after them, one node per pair.
+    run fused with the spiking layer after them, one node per pair. T-NA's
+    tail from its point-wise conv to its decode conv is one recompute node.
     """
 
     DESK = dict(time_steps=6, in_channels=2, stem_channels=8,
                 stages=((8, 1, 1), (16, 1, 2)), num_classes=2)
 
     @pytest.mark.parametrize("spec,nodes", [
-        (NetworkSpec(**DESK), 52),
+        (NetworkSpec(**DESK), 50),
         (NetworkSpec(**DESK, dta_enabled=(False, False)), 23),
         (NetworkSpec(time_steps=4, in_channels=3, stem_channels=16,
-                     stages=((32, 1, 1), (64, 1, 2)), num_classes=10), 53),
+                     stages=((32, 1, 1), (64, 1, 2)), num_classes=10), 51),
     ], ids=["desk", "desk-nodta", "cifar"])
     def test_training_step_records(self, rng, spec, nodes):
         net = build(spec, seed=0)

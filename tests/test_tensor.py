@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from dtasnn import tensor as tz
 from dtasnn.tensor import ComputationRecord, RecordError, ShapeError, Tensor, backward
@@ -93,6 +94,35 @@ class TestBackwardSemantics:
             y = a * a
             with pytest.raises(ShapeError):
                 backward(y)
+
+    def test_scalar_loss_seed_defaults_to_ones(self, rng):
+        xv = rng.standard_normal(5)
+        grads = []
+        for explicit in (False, True):
+            a = leaf(xv)
+            with ComputationRecord():
+                loss = tz.tsum(tz.sigmoid(a) * a)
+                backward(loss, np.ones_like(loss.values) if explicit else None)
+            grads.append(a.grad.tobytes())
+        assert grads[0] == grads[1]
+
+    def test_non_scalar_output_takes_a_seed(self, rng):
+        a = leaf(rng.standard_normal(3))
+        g = rng.standard_normal(3)
+        with ComputationRecord():
+            backward(a * a, g)
+        np.testing.assert_array_equal(a.grad, g * a.values + g * a.values)
+
+    @pytest.mark.parametrize("seed", [np.ones(2), np.ones(3, dtype=np.float32),
+                                      np.ones((3, 1))], ids=["shape", "dtype", "rank"])
+    def test_seed_must_match_the_output(self, seed):
+        a = leaf([1.0, 2.0, 3.0])
+        with ComputationRecord():
+            y = a * a
+            with pytest.raises(ShapeError, match="grad"):
+                backward(y, seed)
+            backward(y, np.ones(3))  # a refused seed leaves the record usable
+        np.testing.assert_array_equal(a.grad, 2 * a.values)
 
     def test_loss_without_record_rejected(self):
         with pytest.raises(RecordError):
@@ -303,6 +333,108 @@ class TestActivations:
         num = fd_grad(lambda v: float((op(Tensor(v, dtype=np.float64)).values
                                        * probe.values).sum()), x_vals)
         np.testing.assert_allclose(x.grad, num, atol=1e-6)
+
+
+class TestGeluSlope:
+    """GELU's node keeps the slope Phi(x) + x * phi(x), formed in the forward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_array_and_the_old_gradient_bytes(self, rng, dtype):
+        av = (2 * rng.standard_normal((4, 5))).astype(dtype)
+        g = rng.standard_normal((4, 5)).astype(dtype)
+        x = Tensor(av, requires_grad=True)
+        with ComputationRecord() as rec:
+            out = tz.gelu(x)
+            held = tape_arrays(rec)
+            backward(out, g)
+        assert [(a.dtype, a.shape) for a in held] == [(np.dtype(dtype), av.shape)]
+        # the node used to keep the input and its CDF, and form this in its backward
+        cdf = 0.5 * (1.0 + erf(av * tz._INV_SQRT2))
+        pdf = tz._INV_SQRT2PI * np.exp(-0.5 * av * av)
+        assert x.grad.tobytes() == (g * (cdf + av * pdf)).tobytes()
+        untaped = tz.gelu(Tensor(av)).values
+        assert untaped.tobytes() == out.values.tobytes() == (av * cdf).astype(dtype).tobytes()
+
+
+class TestRecompute:
+    """``recompute(fn, *inputs)``: one node that keeps its inputs' arrays and
+    rebuilds *fn* in its backward."""
+
+    @staticmethod
+    def run_region(dtype, recomputed):
+        # x feeds the region and the loss beside it, v is an intermediate,
+        # w is read by closure and the constant c gets no partial
+        rng = np.random.default_rng(7)
+        x, b, w = (Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=dtype)
+                   for _ in range(3))
+        c, probe = (Tensor(rng.standard_normal((3, 4)), dtype=dtype) for _ in range(2))
+
+        def region(x, v, c):
+            return tz.gelu(x * c + v) * w
+
+        with ComputationRecord() as rec:
+            v = tz.sigmoid(b)
+            y = tz.recompute(region, x, v, c) if recomputed else region(x, v, c)
+            nodes = len(rec.nodes)
+            loss = tz.tsum((y + x) * probe)
+            backward(loss)
+        assert c.grad is None
+        return nodes, [y.values.tobytes(), loss.values.tobytes()] + [
+            t.grad.tobytes() for t in (x, b, w)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_plain_region(self, dtype):
+        nodes, got = self.run_region(dtype, True)
+        plain_nodes, want = self.run_region(dtype, False)
+        assert got == want
+        assert (nodes, plain_nodes) == (2, 5)
+
+    def test_node_keeps_only_its_inputs(self, rng):
+        x = leaf(rng.standard_normal((2, 3)))
+        s = Tensor((rng.random((2, 3)) < 0.5).astype(np.float64))
+        with ComputationRecord() as rec:
+            y = tz.recompute(lambda x, s: tz.gelu(x) * s, x, s)
+            held = tape_arrays(rec)
+            backward(y, np.ones_like(y.values))
+        floats = [a for a in held if a.dtype != np.uint8]
+        packed = [a for a in held if a.dtype == np.uint8]
+        assert len(held) == 2 and floats[0] is x.values
+        assert np.array_equal(packed[0], s.values)
+
+    def test_without_a_record_it_is_a_plain_call(self, rng):
+        x = leaf(rng.standard_normal(3))
+        seen = []
+
+        def fn(x):
+            seen.append(tz._ACTIVE)
+            return tz.gelu(x)
+
+        y = tz.recompute(fn, x)
+        assert seen == [None] and y.rec is None and y.slot is None
+        assert y.values.tobytes() == tz.gelu(x).values.tobytes()
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_outer_record_active_after_the_backward(self, rng, fail):
+        x = leaf(rng.standard_normal(3))
+        seen = []
+
+        def fn(x):
+            seen.append(tz._ACTIVE)
+            if fail and len(seen) == 2:
+                raise FloatingPointError("in the rebuild")
+            return tz.gelu(x)
+
+        with ComputationRecord() as rec:
+            loss = tz.tsum(tz.recompute(fn, x))
+            if fail:
+                with pytest.raises(FloatingPointError):
+                    backward(loss)
+            else:
+                backward(loss)
+            assert tz._ACTIVE is rec
+        assert seen[0] is None and isinstance(seen[1], ComputationRecord)
+        assert seen[1] is not rec and len(seen) == 2
+        assert rec.nodes == [] and (x.grad is None) == fail
 
 
 class TestReductions:

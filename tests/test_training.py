@@ -90,6 +90,28 @@ def test_tape_keeps_only_what_a_backward_reads(monkeypatch, model):
 
 
 @pytest.mark.parametrize("model", ["desk", "cifar"])
+def test_tape_keeps_nothing_of_the_recomputed_tna_tail(monkeypatch, model):
+    # T-NA's point-wise conv output is tna_product's first operand, recorded
+    # just before it; the backward rebuilds both, so the tape owns neither
+    net, x, labels = one_step_inputs(model)
+    outputs = []
+
+    def watch(out, backward_fn):
+        outputs.append((backward_fn.__qualname__.split(".")[0], out.values))
+
+    tapes.watch_outputs(monkeypatch, watch)
+    with ComputationRecord() as rec:
+        loss = cross_entropy(net.forward(x, training=True), labels)
+        owners = {id(tapes.owner(a)) for a in tapes.tape_arrays(rec)}
+        forward = outputs[:]
+        backward(loss)
+    tail = [values for i, (name, _) in enumerate(forward) if name == "tna_product"
+            for values in (forward[i - 1][1], forward[i][1])]
+    assert len(tail) == 2
+    assert [a.shape for a in tail if id(tapes.owner(a)) in owners] == []
+
+
+@pytest.mark.parametrize("model", ["desk", "cifar"])
 def test_forward_frees_stem_activations_before_the_head(monkeypatch, model):
     # no backward reads the stem conv's output or the stem's float spikes (the
     # gate keeps them as bytes), so neither may live on to the head
@@ -130,9 +152,11 @@ def test_tape_keeps_no_binary_float_array(model):
 
 
 # tape bytes of one training step, parameters excluded: the fused batch-norm
-# and spiking nodes keep no potentials, and depth-wise convs no band matrices
-# (before them: 16326024 and 6025328)
-@pytest.mark.parametrize("model,limit", [("desk", 14212464), ("cifar", 4583512)])
+# and spiking nodes keep no potentials, depth-wise convs no band matrices
+# (before them: 16326024 and 6025328), T-NA's recomputed tail keeps neither
+# its point-wise output nor its gating product, and GELU keeps only its slope
+# (before them: 14212464 and 4583512)
+@pytest.mark.parametrize("model,limit", [("desk", 11853168), ("cifar", 3797080)])
 def test_step_tape_bytes_pinned(model, limit):
     net, x, labels = one_step_inputs(model)
     with ComputationRecord() as rec:
