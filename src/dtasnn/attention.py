@@ -11,14 +11,13 @@ Two branches gate the output of a spiking layer:
 
 The fused gate is ``sigmoid(cross * non_identical) * spikes``, so the output
 vanishes wherever no spike fired and stays strictly below 1 in magnitude for
-binary spikes. The gate is one primitive, :func:`dta_gate`, and so is the
+binary spikes. The gate is one primitive, :func:`dta_gate`. The
 non-identical branch's product of its local map, global map and features,
-:func:`tna_product`. That product, the point-wise conv before it and the
-decode conv after it run as one :func:`~dtasnn.tensor.recompute` node, whose
-backward rebuilds them, so the tape keeps no full-size array of theirs. The
-cross-attention branch hands the gate only the two
-(T, B, C) maps its local attentions add over space, so no full-size array is
-built or kept for it.
+with the point-wise conv before it and the decode conv after it, runs as one
+:func:`~dtasnn.tensor.recompute` node, whose backward rebuilds them, so the
+tape keeps no full-size array of theirs. The cross-attention branch hands the
+gate only the two (T, B, C) maps its local attentions add over space, so no
+full-size array is built or kept for it.
 
 Spike tensors are laid out (T, B, C, H, W).
 """
@@ -78,11 +77,11 @@ class TnaParams:
 
     Local path: depth-wise 5x5, dilated depth-wise 7x7 (dilation 3),
     point-wise 1x1 - the large-kernel-attention decomposition; :func:`ltca`
-    runs the two depth-wise convs and :func:`t_na`'s recomputed tail the
-    point-wise one. Global path: squeeze/expand bottleneck with ratio r, the
-    largest of 4, 3, 2, 1 that divides T*C. Encode/decode are 1x1
-    projections around the whole block; decode starts anywhere, but an
-    all-zero decode reduces the block to an identity.
+    runs the two depth-wise convs, and the point-wise one opens
+    :func:`t_na`'s recomputed tail. Global path: squeeze/expand bottleneck
+    with ratio r, the largest of 4, 3, 2, 1 that divides T*C. Encode/decode
+    are 1x1 projections around the whole block; decode starts anywhere, but
+    an all-zero decode reduces the block to an identity.
     """
 
     encode: Tensor       # (TC, TC, 1, 1)
@@ -180,48 +179,26 @@ def gtca(f: Tensor, p: TnaParams) -> Tensor:
     return tz.reshape(h, (B, tc, 1, 1))
 
 
-def tna_product(local: Tensor, glob: Tensor, feat: Tensor) -> Tensor:
-    """``local * glob * feat``, T-NA's gating of its encoding, as one node.
-
-    *local* and *feat* are (B, TC, H, W) and *glob* is the (B, TC, 1, 1)
-    global map. The node keeps the three operands and no product of them.
-    """
-    if local.shape != feat.shape or glob.shape != feat.shape[:2] + (1, 1):
-        raise ShapeError(f"tna_product got {local.shape}, {glob.shape} and {feat.shape}")
-    lv, gv, fv = local.values, glob.values, feat.values
-    out = lv * gv
-    out *= fv
-
-    def bwd(g):
-        g_lg = g * fv
-        g_feat = lv * gv
-        g_feat *= g
-        g_glob = (g_lg * lv).sum(axis=(2, 3), keepdims=True)
-        g_lg *= gv
-        return g_lg, g_glob, g_feat
-
-    return apply_primitive((local, glob, feat), out, bwd)
-
-
 def t_na(x: Tensor, p: TnaParams) -> Tensor:
     """Non-identical attention over the fused time-channel axis.
 
     Folds (T, B, C, H, W) to (B, T*C, H, W), encodes with a 1x1 conv + GELU,
     gates the encoding with the local and global paths, decodes with a 1x1
     conv, and adds the fold back as a residual before unfolding. The tail
-    from the local path's point-wise conv through the gating product to the
-    decode conv is one :func:`~dtasnn.tensor.recompute` node: it keeps the
-    dilated depth-wise output, which the point-wise conv would keep anyway,
-    and the global map and the features, which other nodes read anyway; its
-    backward rebuilds the point-wise output and the product, so neither
-    outlives the forward.
+    from the local path's point-wise conv through the gating product
+    ``local * glob * feat`` to the decode conv is one
+    :func:`~dtasnn.tensor.recompute` node: it keeps the dilated depth-wise
+    output, which the point-wise conv would keep anyway, and the global map
+    and the features, which other nodes read anyway; its backward rebuilds
+    the point-wise output and the two products on plain nodes, so none of
+    them outlives the forward.
     """
     _require_5d(x, "t_na")
     T, B, C, H, W = x.shape
     folded = tz.reshape(tz.transpose(x, (1, 0, 2, 3, 4)), (B, T * C, H, W))
     feat = tz.gelu(conv2d(folded, p.encode))
     decoded = tz.recompute(
-        lambda h, g, f: conv2d(tna_product(conv2d(h, p.pw), g, f), p.decode),
+        lambda h, g, f: conv2d(conv2d(h, p.pw) * g * f, p.decode),
         ltca(feat, p), gtca(feat, p), feat)
     out = decoded + folded
     return tz.transpose(tz.reshape(out, (B, T, C, H, W)), (1, 0, 2, 3, 4))

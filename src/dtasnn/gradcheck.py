@@ -22,8 +22,7 @@ FD_STEP = 1e-3
 CHECK_NAMES = ("add", "mul", "sigmoid", "gelu", "relu", "mean", "tsum", "reshape",
                "transpose", "conv2d", "conv2d_depthwise", "conv1d", "linear",
                "batch_norm_2d", "cross_entropy", "lif_unroll", "dta_block",
-               "conv2d_pointwise", "dta_gate", "tna_product", "batch_norm_lif",
-               "recompute")
+               "conv2d_pointwise", "dta_gate", "batch_norm_lif", "recompute")
 
 
 def numerical_grad(f: Callable[[], Tensor], t: Tensor) -> np.ndarray:
@@ -311,14 +310,6 @@ def run_suite(break_op: str | None = None, seed: int = 0) -> list[CheckResult]:
                        max_relative_error(-g_spikes if flip else g_spikes,
                                           numerical_grad(real_spikes_loss, gs)))
     results.append(CheckResult("dta_gate", gate_err, 1e-3))
-
-    # T-NA's product of its local map, its (B, TC, 1, 1) global map and its
-    # features
-    tl, tf = param(2, 3, 3, 3), param(2, 3, 3, 3)
-    tg = param(2, 3, 1, 1)
-    probe_t = probe(2, 3, 3, 3)
-    run("tna_product", 1e-3,
-        lambda: tz.tsum(attention.tna_product(tl, tg, tf) * probe_t), [tl, tg, tf])
 
     # batch norm fused with the spiking layer after it, in both modes. The
     # oracle chains the two: the hand-differentiated recurrence gives the

@@ -18,16 +18,16 @@ them, is kept as uint8 (:func:`pack`; the "binarize" encoding of Jain et
 al., "Gist", ISCA 2018), a quarter of float32's bytes, and the backward
 widens it back as one transient array. A region that is cheap to rebuild
 per byte it would keep runs as one :func:`recompute` node, which keeps only
-the region's inputs and rebuilds the rest in its backward; GELU's node keeps
-its slope, one array, in place of its input and CDF. :func:`backward` takes
-each node off its record as its turn comes, freeing what its backward kept,
-and a record holds no tape once its backward returns. A record whose ``with``
-block raises drops its tape on exit. Importing this module pins two glibc
-allocator thresholds for the process (see :func:`_keep_freed_pages`), so a
-freed tape stays in the heap and the next step reuses it instead of
-faulting fresh pages in, and runs every loaded OpenBLAS on one thread (see
-:func:`_pin_blas_threads`), so results do not depend on the environment's
-thread count.
+the region's inputs, as they are, and rebuilds the rest in its backward;
+GELU's node keeps its slope, one array, in place of its input and CDF.
+:func:`backward` takes each node off its record as its turn comes, freeing
+what its backward kept, and a record holds no tape once its backward
+returns. A record whose ``with`` block raises drops its tape on exit.
+Importing this module pins two glibc allocator thresholds for the process
+(see :func:`_keep_freed_pages`), so a freed tape stays in the heap and the
+next step reuses it instead of faulting fresh pages in, and runs every
+loaded OpenBLAS on one thread (see :func:`_pin_blas_threads`), so results do
+not depend on the environment's thread count.
 
 Default element type is float32. Kernels are dtype-generic, so verification
 code may run the same graph in float64 by constructing float64 tensors.
@@ -353,41 +353,38 @@ def recompute(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
     """``fn(*inputs)`` as one node that keeps only the inputs' arrays.
 
     While a record is active, *fn* runs untaped and the node keeps each
-    input's array (through :func:`pack`) and nothing *fn* built. Its
-    backward runs *fn* again under a record of its own, on fresh leaves
-    holding those arrays, backpropagates the upstream gradient through that
-    record and returns each input's gradient, or None for a constant input;
-    a parameter that *fn* reads by closure gets its gradient from that inner
-    backward. The outer record is active again afterwards, also when the
-    inner pass raises. This is selective recomputation (Chen et al.,
-    "Training Deep Nets with Sublinear Memory Cost", 2016; Korthikanti et
-    al., MLSys 2023): worth it for a region that is cheap to rebuild per byte
-    it would keep. With no record active it is ``fn(*inputs)``. As for any
-    primitive, the node is recorded only when some input is traced, so a
-    parameter read by closure gets a gradient only then.
+    input's array as it is, and nothing *fn* built. Its backward runs *fn*
+    again under a record of its own, on fresh leaves holding those arrays,
+    backpropagates the upstream gradient through that record and returns
+    each input's gradient, or None for a constant input; a parameter that
+    *fn* reads by closure gets its gradient from that inner backward. The
+    outer record is active again afterwards, also when the inner pass
+    raises. This is selective recomputation (Chen et al., "Training Deep
+    Nets with Sublinear Memory Cost", 2016; Korthikanti et al., MLSys 2023):
+    worth it for a region that is cheap to rebuild per byte it would keep.
+    With no record active, or no input traced, it is ``fn(*inputs)``, taped
+    as usual in the latter case.
 
     *fn* must be pure, since a taped call runs it twice: a training-mode
     batch norm inside it would update its running statistics twice.
     """
     global _ACTIVE
     rec = _ACTIVE
-    if rec is None:
+    needs = [t.rec is rec or t.requires_grad for t in inputs]
+    if rec is None or not any(needs):
         return fn(*inputs)
     _ACTIVE = None
     try:
         out_values = fn(*inputs).values
     finally:
         _ACTIVE = rec
-    kept = [pack(t.values) for t in inputs]
-    dtypes = [t.dtype for t in inputs]
-    needs = [t.rec is rec or t.requires_grad for t in inputs]
+    kept = [t.values for t in inputs]
 
     def bwd(g):
         global _ACTIVE
         outer, _ACTIVE = _ACTIVE, None
         try:
-            leaves = [Tensor(k, requires_grad=n, dtype=d)
-                      for k, n, d in zip(kept, needs, dtypes)]
+            leaves = [Tensor(k, requires_grad=n) for k, n in zip(kept, needs)]
             with ComputationRecord():
                 backward(fn(*leaves), g)
         finally:

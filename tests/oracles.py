@@ -270,10 +270,6 @@ def dta_gate_ref(spikes, a, b, tna):
     return sigmoid_ref(gate) * spikes
 
 
-def tna_product_ref(local, glob, feat):
-    return local * glob * feat
-
-
 def gelu_vec_ref(x):
     from scipy.special import erf
     x = np.asarray(x, dtype=np.float64)
@@ -301,7 +297,7 @@ def t_na_ref(x, p):
     folded = x.transpose(1, 0, 2, 3, 4).reshape(B, T * C, H, W)
     feat = gelu_vec_ref(conv2d_loop(folded, p.encode.values, 1, 0, 1))
     local = conv2d_loop(ltca_ref(feat, p), p.pw.values, 1, 0, 1)
-    attended = tna_product_ref(local, gtca_ref(feat, p), feat)
+    attended = local * gtca_ref(feat, p) * feat
     out = conv2d_loop(attended, p.decode.values, 1, 0, 1) + folded
     return out.reshape(B, T, C, H, W).transpose(1, 0, 2, 3, 4)
 

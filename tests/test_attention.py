@@ -5,7 +5,7 @@ import pytest
 
 from dtasnn import tensor as tz
 from dtasnn.attention import (TnaParams, TxaParams, dta, dta_gate, gtca, local_attention,
-                              ltca, smp, t_na, t_xa, tna_product)
+                              ltca, smp, t_na, t_xa)
 from dtasnn.network import named_leaves
 from dtasnn.tensor import ComputationRecord, ShapeError, Tensor, backward, zero_grads
 
@@ -201,6 +201,27 @@ class TestTna:
         got = t_na(Tensor(xv, dtype=np.float64), p).values
         np.testing.assert_allclose(got, oracles.t_na_ref(xv, p), atol=1e-5)
 
+    def test_tail_gradients_match_composition_oracle(self, rng):
+        # the recomputed tail reads the point-wise and decode convs' weights
+        # by closure; their gradients and the input's come from its backward
+        _, p = f64_params(2, 2, rng)
+        x = Tensor(rng.standard_normal((2, 1, 2, 3, 3)), requires_grad=True, dtype=np.float64)
+        probe = rng.standard_normal(x.shape)
+        checked = [x, p.pw, p.decode]
+        zero_grads(checked)
+        with ComputationRecord():
+            backward(tz.tsum(t_na(x, p) * Tensor(probe)))
+        for t in checked:
+            def loss(v, t=t):
+                saved = t.values
+                t.values = v
+                try:
+                    return float((probe * oracles.t_na_ref(x.values, p)).sum())
+                finally:
+                    t.values = saved
+            np.testing.assert_allclose(t.grad, oracles.fd_grad(loss, t.values.copy()),
+                                       rtol=1e-6, atol=1e-8)
+
 
 class TestDta:
     def test_no_branch_parameters_is_identity(self, rng):
@@ -357,51 +378,6 @@ class TestDtaGate:
         assert sorted(v.dtype.name for v in full) == ["float32", "float32", "uint8"]
         assert any(v is tna.values for v in full)
         assert sum(v.nbytes for v in held) == 9 * spikes.size + 2 * a.values.nbytes
-
-
-class TestTnaProduct:
-    SHAPES = ((2, 3, 4, 5), (2, 3, 1, 1), (2, 3, 4, 5))
-
-    def test_matches_oracle_values_and_gradients(self, rng):
-        local, glob, feat = (Tensor(rng.standard_normal(s), requires_grad=True,
-                                    dtype=np.float64) for s in self.SHAPES)
-        probe = rng.standard_normal(feat.shape)
-        args = [local, glob, feat]
-        zero_grads(args)
-        with ComputationRecord():
-            out = tna_product(local, glob, feat)
-            backward(tz.tsum(out * Tensor(probe)))
-        values = [t.values.copy() for t in args]
-        np.testing.assert_allclose(out.values, oracles.tna_product_ref(*values), rtol=1e-12)
-        for i, t in enumerate(args):
-            def loss(v, i=i):
-                return float((probe * oracles.tna_product_ref(
-                    *(v if j == i else values[j] for j in range(3)))).sum())
-            np.testing.assert_allclose(t.grad, oracles.fd_grad(loss, values[i]),
-                                       rtol=1e-6, atol=1e-8)
-
-    def test_bits_equal_two_mul_nodes_and_node_keeps_only_its_operands(self, rng):
-        local, glob, feat = (Tensor(rng.standard_normal(s).astype(np.float32),
-                                    requires_grad=True) for s in self.SHAPES)
-        probe = Tensor(rng.standard_normal(feat.shape).astype(np.float32))
-        args = [local, glob, feat]
-        results = []
-        for fused in (True, False):
-            zero_grads(args)
-            with ComputationRecord() as rec:
-                out = tna_product(*args) if fused else local * glob * feat
-                if fused:
-                    held = [v for v in tapes.closure_values(rec.nodes[-1].backward_fn)
-                            if isinstance(v, np.ndarray)]
-                backward(tz.tsum(out * probe))
-            results.append([out.values.tobytes()] + [t.grad.tobytes() for t in args])
-        assert results[0] == results[1]
-        assert sorted(map(id, held)) == sorted(id(t.values) for t in args)
-
-    def test_shapes_checked(self, rng):
-        local, glob, feat = (Tensor(rng.standard_normal(s)) for s in self.SHAPES)
-        with pytest.raises(ShapeError, match="tna_product"):
-            tna_product(local, feat, feat)
 
 
 def test_dta_spike_gradient_matches_oracle(rng):

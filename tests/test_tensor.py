@@ -390,16 +390,33 @@ class TestRecompute:
         assert (nodes, plain_nodes) == (2, 5)
 
     def test_node_keeps_only_its_inputs(self, rng):
+        # as they are: a binary input is not packed either
         x = leaf(rng.standard_normal((2, 3)))
         s = Tensor((rng.random((2, 3)) < 0.5).astype(np.float64))
         with ComputationRecord() as rec:
             y = tz.recompute(lambda x, s: tz.gelu(x) * s, x, s)
             held = tape_arrays(rec)
             backward(y, np.ones_like(y.values))
-        floats = [a for a in held if a.dtype != np.uint8]
-        packed = [a for a in held if a.dtype == np.uint8]
-        assert len(held) == 2 and floats[0] is x.values
-        assert np.array_equal(packed[0], s.values)
+        assert sorted(map(id, held)) == sorted([id(x.values), id(s.values)])
+
+    @pytest.mark.parametrize("beside", [False, True], ids=["only", "beside"])
+    def test_untraced_inputs_still_give_closure_read_parameters_gradients(self, rng, beside):
+        # every input is a constant, so the region is taped as a plain call;
+        # the loss runs only through it, or also through another leaf u
+        w, u = leaf(rng.standard_normal(3)), leaf(rng.standard_normal(3))
+        c = Tensor(rng.standard_normal(3), dtype=np.float64)
+
+        def region(c):
+            return tz.gelu(c * w)
+
+        def grad_of_w(recomputed):
+            w.grad = None
+            with ComputationRecord():
+                y = tz.recompute(region, c) if recomputed else region(c)
+                backward(tz.tsum(y + u if beside else y))
+            return w.grad.tobytes()
+
+        assert grad_of_w(True) == grad_of_w(False)
 
     def test_without_a_record_it_is_a_plain_call(self, rng):
         x = leaf(rng.standard_normal(3))

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dtasnn import tensor as tz
 from dtasnn import training
 from dtasnn.config import load_config
 from dtasnn.data import SynthSpec, gen_synthetic
@@ -91,23 +92,23 @@ def test_tape_keeps_only_what_a_backward_reads(monkeypatch, model):
 
 @pytest.mark.parametrize("model", ["desk", "cifar"])
 def test_tape_keeps_nothing_of_the_recomputed_tna_tail(monkeypatch, model):
-    # T-NA's point-wise conv output is tna_product's first operand, recorded
-    # just before it; the backward rebuilds both, so the tape owns neither
+    # the forward runs T-NA's recomputed tail with no record active: its
+    # point-wise conv, the two products of its gating and the decode conv.
+    # The backward rebuilds them all, so the tape owns none of them
     net, x, labels = one_step_inputs(model)
-    outputs = []
+    untaped = []
 
     def watch(out, backward_fn):
-        outputs.append((backward_fn.__qualname__.split(".")[0], out.values))
+        if tz._ACTIVE is None:
+            untaped.append(out.values)
 
     tapes.watch_outputs(monkeypatch, watch)
     with ComputationRecord() as rec:
         loss = cross_entropy(net.forward(x, training=True), labels)
         owners = {id(tapes.owner(a)) for a in tapes.tape_arrays(rec)}
-        forward = outputs[:]
+        tail = untaped[:]
         backward(loss)
-    tail = [values for i, (name, _) in enumerate(forward) if name == "tna_product"
-            for values in (forward[i - 1][1], forward[i][1])]
-    assert len(tail) == 2
+    assert len(tail) == 4
     assert [a.shape for a in tail if id(tapes.owner(a)) in owners] == []
 
 
